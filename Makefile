@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-mp bench bench-json perfguard smoke serve-smoke serve-smoke-mp chaos-smoke prefix-smoke router-smoke ci
+.PHONY: build test vet race race-mp fuzz bench bench-json perfguard smoke serve-smoke serve-smoke-mp chaos-smoke prefix-smoke router-smoke ci
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,16 @@ race:
 
 race-mp:
 	GOMAXPROCS=4 $(GO) test -race ./internal/tensor/... ./internal/model/... ./internal/campaign/... ./internal/serve/... ./internal/wire/... ./internal/router/...
+
+# Scheduler differential fuzzing: random arrivals, prompt lengths, chunking,
+# batch widths around the fusion crossover, slice lengths, protected/bare
+# mixes, cancellations and the prefix cache, every completed session checked
+# against the serving oracle. The committed seed corpus already runs in
+# `make test`; this explores beyond it for FUZZTIME.
+FUZZTIME ?= 30s
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzScheduleOracle -fuzztime $(FUZZTIME) ./internal/serve
 
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkGenerate(Unprotected|FT2)' -benchmem .
@@ -73,4 +83,4 @@ prefix-smoke:
 router-smoke:
 	scripts/router_smoke.sh
 
-ci: vet build test race race-mp perfguard smoke serve-smoke serve-smoke-mp chaos-smoke prefix-smoke router-smoke
+ci: vet build test race race-mp fuzz perfguard smoke serve-smoke serve-smoke-mp chaos-smoke prefix-smoke router-smoke

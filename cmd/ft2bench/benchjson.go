@@ -56,8 +56,8 @@ type benchCampaignResult struct {
 // (GOMAXPROCS, batching, concurrency) point: protected generations through
 // the continuous-batching scheduler, verified bit-identical to the serial
 // GenerateInto baseline it is normalized against. Batched rows fuse ready
-// sessions into DecodeStepBatch groups; the batched=false rows force the
-// per-session serial fallback (BatchMax 1) for comparison.
+// sessions into ForwardBatch groups; the batched=false rows force one
+// session per forward (BatchMax 1) for comparison.
 type benchServeResult struct {
 	GOMAXPROCS         int     `json:"gomaxprocs"`
 	Batched            bool    `json:"batched"`
@@ -262,8 +262,8 @@ func runBenchJSON(path string, seed int64) error {
 	// Serving throughput at increasing concurrency, against the serial
 	// baseline of the same requests run one-by-one through GenerateInto on
 	// the same GOMAXPROCS setting. Batched rows fuse sessions into
-	// DecodeStepBatch; one BatchMax=1 row per setting isolates what fusion
-	// buys over pure time-slicing.
+	// ForwardBatch groups; one BatchMax=1 row per setting isolates what
+	// fusion buys over pure time-slicing.
 	for _, procs := range procsSweep {
 		runtime.GOMAXPROCS(procs)
 		serveRes, err := benchServe(seed, procs)
@@ -374,9 +374,9 @@ func cpuSeconds() float64 {
 // qwen2-1.5b-sim: the kinds whose unprotected SDC is negligible (K/Q — the
 // softmax renormalizes their faults away) stay unprotected, and the
 // vulnerable kinds get the stacked abft+ft2 — ABFT recompute repairs
-// transient activation flips exactly at near-zero cost, while the FT2 clamp
-// bounds the persistent-weight and KV-cache fallout that an
-// input-consistent recompute cannot see.
+// transient activation flips exactly, while the FT2 clamp bounds the
+// persistent-weight and KV-cache fallout that an input-consistent
+// recompute cannot see.
 func benchChaosPareto(seed int64) (*benchChaosResult, error) {
 	cfg, err := model.ConfigByName("qwen2-1.5b-sim")
 	if err != nil {
@@ -388,34 +388,7 @@ func benchChaosPareto(seed int64) (*benchChaosResult, error) {
 	mix := fault.TargetMix{Weight: 0.3, KV: 0.2}
 	const trials = 220
 
-	uniform := func(tier protect.Tier) *protect.Policy {
-		p := &protect.Policy{Tiers: make(map[model.LayerKind]protect.Tier)}
-		for _, k := range cfg.Family.LayerKinds() {
-			p.Tiers[k] = tier
-		}
-		return p
-	}
-	adaptive := &protect.Policy{Tiers: map[model.LayerKind]protect.Tier{
-		model.KProj:    protect.TierNone,
-		model.QProj:    protect.TierNone,
-		model.VProj:    protect.TierABFTFT2,
-		model.OutProj:  protect.TierABFTFT2,
-		model.UpProj:   protect.TierABFTFT2,
-		model.GateProj: protect.TierABFTFT2,
-		model.DownProj: protect.TierABFTFT2,
-	}}
-
-	policies := []struct {
-		name   string
-		method arch.Method
-		policy *protect.Policy
-	}{
-		{"none", arch.MethodNone, nil},
-		{"ft2", arch.MethodFT2, nil},
-		{"abft", arch.MethodNone, uniform(protect.TierABFT)},
-		{"dmr", arch.MethodNone, uniform(protect.TierDMR)},
-		{"hybrid", arch.MethodNone, adaptive},
-	}
+	policies := chaosPolicies(cfg.Family)
 
 	// Protected decode throughput, one generator per policy. All generators
 	// are measured in interleaved rounds — round-robin, best-of-N per policy
@@ -427,14 +400,7 @@ func benchChaosPareto(seed int64) (*benchChaosResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case pol.policy != nil:
-			gens[i] = core.NewHybrid(m, core.Defaults(), pol.policy, nil).GenerateInto
-		case pol.method == arch.MethodFT2:
-			gens[i] = core.Attach(m, core.Defaults()).GenerateInto
-		default:
-			gens[i] = m.GenerateInto
-		}
+		gens[i] = chaosGenerator(m, pol)
 	}
 	buf := make([]int, 0, ds.GenTokens)
 	prompt := ds.Inputs[0].Prompt
@@ -521,9 +487,7 @@ func benchChaosPareto(seed int64) (*benchChaosResult, error) {
 	// Dominance: the hybrid must beat every single method on SDC outright
 	// and cost no more than any protected single method. The TPS comparison
 	// allows 3% — the resolution limit of the paired-ratio estimator on a
-	// shared machine (the true hybrid-vs-abft gap measures well under 1%),
-	// and far below the gap to the next-accurate single method's overhead
-	// (uniform ft2 at ~9%).
+	// shared machine.
 	hybrid := out.Policies[len(out.Policies)-1]
 	dominates := true
 	for _, p := range out.Policies[:len(out.Policies)-1] {
@@ -536,6 +500,58 @@ func benchChaosPareto(seed int64) (*benchChaosResult, error) {
 	}
 	out.HybridDominates = dominates
 	return out, nil
+}
+
+// chaosPolicy is one protection configuration of the chaos Pareto: an
+// architectural method, or a per-layer-kind tier policy run by the hybrid
+// controller.
+type chaosPolicy struct {
+	name   string
+	method arch.Method
+	policy *protect.Policy
+}
+
+// chaosPolicies lists the chaos Pareto's five configurations for a family.
+func chaosPolicies(family model.Family) []chaosPolicy {
+	uniform := func(tier protect.Tier) *protect.Policy {
+		p := &protect.Policy{Tiers: make(map[model.LayerKind]protect.Tier)}
+		for _, k := range family.LayerKinds() {
+			p.Tiers[k] = tier
+		}
+		return p
+	}
+	adaptive := &protect.Policy{Tiers: map[model.LayerKind]protect.Tier{
+		model.KProj:    protect.TierNone,
+		model.QProj:    protect.TierNone,
+		model.VProj:    protect.TierABFTFT2,
+		model.OutProj:  protect.TierABFTFT2,
+		model.UpProj:   protect.TierABFTFT2,
+		model.GateProj: protect.TierABFTFT2,
+		model.DownProj: protect.TierABFTFT2,
+	}}
+	return []chaosPolicy{
+		{"none", arch.MethodNone, nil},
+		{"ft2", arch.MethodFT2, nil},
+		{"abft", arch.MethodNone, uniform(protect.TierABFT)},
+		{"dmr", arch.MethodNone, uniform(protect.TierDMR)},
+		{"hybrid", arch.MethodNone, adaptive},
+	}
+}
+
+// chaosGenerator builds a policy's decode generator on m with its
+// protection hook installed on the model, so the timed generations run the
+// protection they are labelled with.
+func chaosGenerator(m *model.Model, pol chaosPolicy) func(dst, prompt []int, n int) []int {
+	switch {
+	case pol.policy != nil:
+		h := core.NewHybrid(m, core.Defaults(), pol.policy, nil)
+		h.Install()
+		return h.GenerateInto
+	case pol.method == arch.MethodFT2:
+		return core.Attach(m, core.Defaults()).GenerateInto
+	default:
+		return m.GenerateInto
+	}
 }
 
 // benchServe measures the serving layer at 1, 4, and 16 concurrent clients

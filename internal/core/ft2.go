@@ -206,8 +206,11 @@ func (f *FT2) ProtectedSiteCount() int {
 }
 
 // Generate runs a protected inference: bounds reset, first token profiled,
-// following tokens range-restricted.
+// following tokens range-restricted. The hook must be registered on the
+// model (Attach, or New followed by Install); Generate panics otherwise,
+// since the run would silently go unprotected.
 func (f *FT2) Generate(prompt []int, n int) []int {
+	mustBeInstalled(f.m, f.handle, "FT2")
 	f.Reset()
 	return f.m.Generate(prompt, n)
 }
@@ -216,8 +219,17 @@ func (f *FT2) Generate(prompt []int, n int) []int {
 // reused dst the protected steady-state generation is allocation-free (the
 // bounds store clears in place, see protect.Store.Reset).
 func (f *FT2) GenerateInto(dst []int, prompt []int, n int) []int {
+	mustBeInstalled(f.m, f.handle, "FT2")
 	f.Reset()
 	return f.m.GenerateInto(dst, prompt, n)
+}
+
+// mustBeInstalled panics when a controller's Generate runs without its hook
+// registered on the model.
+func mustBeInstalled(m *model.Model, h model.HookHandle, name string) {
+	if !m.HookRegistered(h) {
+		panic("core: " + name + ".Generate without its hook registered on the model (call Install first)")
+	}
 }
 
 func (f *FT2) hook(ctx model.HookCtx, out *tensor.Tensor) {

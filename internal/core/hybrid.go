@@ -112,14 +112,17 @@ func (h *Hybrid) DrainCounts() HybridCounts {
 	return c
 }
 
-// Generate runs a policy-protected inference (the hook must be installed).
+// Generate runs a policy-protected inference. The hook must be installed;
+// Generate panics otherwise, since the run would silently go unprotected.
 func (h *Hybrid) Generate(prompt []int, n int) []int {
+	mustBeInstalled(h.m, h.handle, "Hybrid")
 	h.Reset()
 	return h.m.Generate(prompt, n)
 }
 
 // GenerateInto is Generate writing tokens into dst[:0].
 func (h *Hybrid) GenerateInto(dst []int, prompt []int, n int) []int {
+	mustBeInstalled(h.m, h.handle, "Hybrid")
 	h.Reset()
 	return h.m.GenerateInto(dst, prompt, n)
 }

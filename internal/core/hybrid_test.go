@@ -188,3 +188,36 @@ func TestHybridForkStateRoundTrip(t *testing.T) {
 		t.Error("ResumeFork must install the captured bounds store")
 	}
 }
+
+// A controller whose hook is not registered would generate unprotected
+// while reporting itself as protection; Generate and GenerateInto refuse,
+// both before Install and after Detach.
+func TestGenerateWithoutInstalledHookPanics(t *testing.T) {
+	cfg := hybridCfg(t)
+	m := model.MustNew(cfg, 11, numerics.FP16)
+	f := New(m, Defaults())
+	h := NewHybrid(m, Defaults(), ft2OnlyPolicy(cfg.Family), nil)
+	prompt := []int{4, 9, 14}
+	mustPanic := func(name string, gen func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		gen()
+	}
+	mustPanic("FT2.Generate before Install", func() { f.Generate(prompt, 2) })
+	mustPanic("FT2.GenerateInto before Install", func() { f.GenerateInto(nil, prompt, 2) })
+	mustPanic("Hybrid.Generate before Install", func() { h.Generate(prompt, 2) })
+	mustPanic("Hybrid.GenerateInto before Install", func() { h.GenerateInto(nil, prompt, 2) })
+
+	f.Install()
+	f.Generate(prompt, 2)
+	f.Detach()
+	mustPanic("FT2.Generate after Detach", func() { f.Generate(prompt, 2) })
+	h.Install()
+	h.Generate(prompt, 2)
+	m.ClearHooks()
+	mustPanic("Hybrid.Generate after ClearHooks", func() { h.Generate(prompt, 2) })
+}

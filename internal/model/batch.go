@@ -49,21 +49,24 @@ func (it *BatchItem) rows() int {
 // fans the (session × head) work units out over the resident tensor worker
 // pool when the kernel cost model predicts a win.
 //
+// This is the engine's only forward: Prefill, PrefillChunk and DecodeStep
+// are one-item calls of it on the active state.
+//
 // One result is appended to dst per item, in order: the decoded token for a
 // decode row, the first token for a prefill range that completes its
 // prompt, and -1 for a mid-prefill range (more chunks to come). Each item's
 // State advances exactly as DecodeStep / PrefillChunk would advance it.
 //
-// Bit identity: every linear output row is an independent Dot(x-row, w-row)
-// with the same FP op order as the single-session kernel, normalization and
-// readout are computed row-by-row, and attention reads only the session's
-// own KV with the same per-row causal limit — so each session's tokens (and
-// its entire KV/state evolution) are bit-identical to a serial
-// Prefill/DecodeStep sequence no matter how its rows were co-batched. The
-// parallel attention fan-out assigns every (session, head) unit its own
-// scores scratch and a disjoint output slice, so worker count and
-// scheduling order cannot change a bit. The mixed-phase batch equivalence
-// tests and `ft2serve -selftest` assert this.
+// Bit identity: every linear output row is an independent row-kernel dot of
+// (x-row, w-row) plus bias, normalization and readout are computed
+// row-by-row, and attention reads only the session's own KV with the same
+// per-row causal limit — so each session's tokens (and its entire KV/state
+// evolution) are the same bits whatever rows share the call, whether its
+// prompt arrived in one range or many. The parallel attention fan-out
+// assigns every (session, head) unit its own scores scratch and a disjoint
+// output slice, so worker count and scheduling order cannot change a bit.
+// The package tests pin all of this against a test-only reference forward
+// and a recorded golden table; `ft2serve -selftest` asserts it end to end.
 //
 // Per-session hooks ride on BatchItem.Hooks; model-level hooks registered
 // with RegisterHook cannot be attributed to a session and make the call
@@ -78,41 +81,40 @@ func (m *Model) ForwardBatch(items []BatchItem, dst []int) []int {
 	}
 	m.ensureRuntime()
 	for i := range items {
-		it := &items[i]
-		st := it.State
-		m.checkCompatible(st)
-		if it.prefilling() {
-			if !st.Prefilling() {
-				panic("model: ForwardBatch prefill item without an open prefill")
-			}
-			if st.prefillPos+len(it.Prefill) > st.promptLen {
-				panic(fmt.Sprintf("model: prefill chunk overruns prompt (%d+%d > %d)",
-					st.prefillPos, len(it.Prefill), st.promptLen))
-			}
-			continue
-		}
-		if !st.Started() {
-			panic("model: ForwardBatch decode item before Prefill or Restore")
-		}
-		st.step++
-		if pos := st.pos(); pos >= m.Cfg.MaxSeq {
-			panic(fmt.Sprintf("model: decode position %d exceeds max seq %d", pos, m.Cfg.MaxSeq))
-		}
+		m.admit(&items[i])
 	}
 	return m.forwardBatch(items, dst)
 }
 
-// DecodeStepBatch advances B decoding sessions by one step each in a single
-// fused forward pass — ForwardBatch restricted to single-row decode items.
-// Kept as the stable decode-only entry point; prefill ranges must go
-// through ForwardBatch.
-func (m *Model) DecodeStepBatch(items []BatchItem, dst []int) []int {
-	for i := range items {
-		if items[i].prefilling() {
-			panic("model: DecodeStepBatch with a prefill item; use ForwardBatch")
-		}
+// admit validates one item against its state and advances a decode item's
+// step counter; prefill cursors advance in forwardBatch once the range's KV
+// rows exist.
+func (m *Model) admit(it *BatchItem) {
+	st := it.State
+	if st == nil {
+		panic("model: forward without a generation state (Prefill or Restore first)")
 	}
-	return m.ForwardBatch(items, dst)
+	m.checkCompatible(st)
+	if it.prefilling() {
+		if !st.Prefilling() {
+			panic("model: prefill chunk without an open prefill")
+		}
+		if st.prefillPos+len(it.Prefill) > st.promptLen {
+			panic(fmt.Sprintf("model: prefill chunk overruns prompt (%d+%d > %d)",
+				st.prefillPos, len(it.Prefill), st.promptLen))
+		}
+		return
+	}
+	if !st.Started() {
+		if st.Prefilling() {
+			panic("model: decode step mid-prefill")
+		}
+		panic("model: decode step before Prefill or Restore")
+	}
+	st.step++
+	if pos := st.pos(); pos >= m.Cfg.MaxSeq {
+		panic(fmt.Sprintf("model: decode position %d exceeds max seq %d", pos, m.Cfg.MaxSeq))
+	}
 }
 
 // forwardBatch is the fused forward pass over the stacked row ranges;
@@ -158,6 +160,7 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 	for bIdx, blk := range m.blocks {
 		switch cfg.Family {
 		case FamilyGPTJ:
+			// Parallel attention+MLP from the same normalized input.
 			normed := m.applyNormInto(sc.normed, blk.ln1, x)
 			attn := m.attentionBatch(bIdx, blk, normed, items)
 			ffn := m.mlpBatch(bIdx, blk, normed, items)
@@ -189,6 +192,18 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 		}
 		sc.emitIdx = append(sc.emitIdx, i)
 	}
+	return m.readout(items, x, dst)
+}
+
+// readout turns the final row of every emitting item's range of the
+// residual stream x into next-token logits — teacher-prior injection, final
+// norm, tied-embedding projection, over the emitting rows only — and
+// appends one result per item to dst (-1 for mid-prefill ranges). It also
+// records each emitting state's stream norm, which the serving layer
+// exposes.
+func (m *Model) readout(items []BatchItem, x *tensor.Tensor, dst []int) []int {
+	cfg := m.Cfg
+	sc := m.scratch
 	if len(sc.emitIdx) == 0 {
 		for range items {
 			dst = append(dst, -1)
@@ -196,8 +211,7 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 		return dst
 	}
 
-	// Per-session readout over the emitting rows only.
-	last := sc.lastB.Reuse(len(sc.emitIdx), cfg.Hidden)
+	last := sc.emitRows.Reuse(len(sc.emitIdx), cfg.Hidden)
 	for e, i := range sc.emitIdx {
 		it := &items[i]
 		row := last.Row(e)
@@ -209,6 +223,10 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 		it.State.lastStreamNorm = float32(math.Sqrt(ss))
 
 		if cfg.TeacherWeight > 0 && m.streamNorm > 0 {
+			// Inject the next-token prior as a stream component of fixed
+			// reference norm: β·R·t̂ added to the pre-norm state. A sane
+			// stream (‖x‖ ≈ R) is dominated by it; a corrupted stream whose
+			// norm has exploded drowns it, and the readout diverges.
 			emb := m.embed.Row(m.teacher[it.lastFedTok()])
 			var tn float64
 			for _, v := range emb {
@@ -223,8 +241,8 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 		}
 	}
 
-	final := m.applyNormInto(sc.finalB, m.lnF, last)
-	logits := tensor.MatMulTInto(sc.logitsB.Reuse(len(sc.emitIdx), cfg.Vocab), final, m.embed)
+	final := m.applyNormInto(sc.emitNorm, m.lnF, last)
+	logits := tensor.MatMulTInto(sc.emitLogits.Reuse(len(sc.emitIdx), cfg.Vocab), final, m.embed)
 	logits.Scale(cfg.LogitScale)
 	e := 0
 	for i := range items {
@@ -241,7 +259,7 @@ func (m *Model) forwardBatch(items []BatchItem, dst []int) []int {
 }
 
 // lastFedTok is the token occupying the item's final row — it selects the
-// teacher prior at readout, matching what the serial path feeds.
+// teacher prior at readout.
 func (it *BatchItem) lastFedTok() int {
 	if it.prefilling() {
 		return it.Prefill[len(it.Prefill)-1]
@@ -267,7 +285,9 @@ func (m *Model) embedRow(row []float32, tok, pos int) {
 	}
 }
 
-// applyLinearBatch is applyLinearInto with per-item range hooks.
+// applyLinearBatch computes a linear layer's output for every stacked row
+// into dst (resliced to fit), passes it through the precision gate, and
+// runs each item's hooks on its row range.
 func (m *Model) applyLinearBatch(dst *tensor.Tensor, ref LayerRef, l linear, x *tensor.Tensor, items []BatchItem) *tensor.Tensor {
 	dst.Reuse(x.Rows, l.w.Rows)
 	tensor.LinearInto(dst, x, l.w, l.b)
@@ -281,9 +301,8 @@ func (m *Model) applyLinearBatch(dst *tensor.Tensor, ref LayerRef, l linear, x *
 // per-(item × head) scores/softmax/context over that session's own slab —
 // fanned out over the resident worker pool when the cost model predicts a
 // win, inline otherwise; the results are bit-identical either way because
-// every work unit owns its scores scratch and a disjoint output slice. Each
-// row of the result is bit-identical to what the single-session attention
-// produces for that session's position.
+// every work unit owns its scores scratch and a disjoint output slice. The
+// returned tensor aliases the scratch arena.
 func (m *Model) attentionBatch(bIdx int, blk *block, x *tensor.Tensor, items []BatchItem) *tensor.Tensor {
 	cfg := m.Cfg
 	d := cfg.HeadDim()
@@ -394,6 +413,8 @@ func (m *Model) attnUnits(lo, hi int) {
 			if sum > 0 {
 				inv := 1 / sum
 				tensor.ScaleSlice(scores[:limit], inv)
+				// The stride kernels are bit-identical to per-position
+				// Dot/Axpy calls (same op order, never fused).
 				tensor.AxpyStride(orow, vh, scores, d, limit)
 			}
 		}

@@ -18,10 +18,10 @@ func prefillSession(m *Model, prompt []int) (BatchItem, int) {
 	return BatchItem{State: st, Tok: tok}, tok
 }
 
-// TestDecodeStepBatchBitwise pins the fused batched decode to the serial
-// oracle: for every family, sessions with different prompt lengths advanced
-// together through DecodeStepBatch must emit exactly the token sequences a
-// fresh replica produces with Generate (prefill + serial DecodeSteps).
+// TestDecodeStepBatchBitwise pins the fused batched decode to the reference
+// forward: for every family, sessions with different prompt lengths
+// advanced together through one ForwardBatch per step must emit exactly
+// the reference's token sequences and hold its KV bits.
 func TestDecodeStepBatchBitwise(t *testing.T) {
 	const gen = 10
 	prompts := [][]int{
@@ -33,12 +33,13 @@ func TestDecodeStepBatchBitwise(t *testing.T) {
 	for _, f := range []Family{FamilyOPT, FamilyGPTJ, FamilyLlama} {
 		t.Run(f.String(), func(t *testing.T) {
 			cfg := smallCfg(f)
-			oracle := MustNew(cfg, 11, numerics.FP16)
 			m := MustNew(cfg, 11, numerics.FP16)
+			ref := NewReference(m)
 
 			want := make([][]int, len(prompts))
+			refs := make([]*RefSession, len(prompts))
 			for i, p := range prompts {
-				want[i] = oracle.Generate(p, gen)
+				want[i], refs[i] = ref.Generate(p, gen)
 			}
 
 			items := make([]BatchItem, len(prompts))
@@ -50,7 +51,7 @@ func TestDecodeStepBatchBitwise(t *testing.T) {
 			}
 			var toks []int
 			for s := 1; s < gen; s++ {
-				toks = m.DecodeStepBatch(items, toks[:0])
+				toks = m.ForwardBatch(items, toks[:0])
 				for i, tok := range toks {
 					got[i] = append(got[i], tok)
 					items[i].Tok = tok
@@ -58,41 +59,49 @@ func TestDecodeStepBatchBitwise(t *testing.T) {
 			}
 			for i := range prompts {
 				if !reflect.DeepEqual(want[i], got[i]) {
-					t.Errorf("session %d (prompt len %d): batched %v != serial %v",
+					t.Errorf("session %d (prompt len %d): batched %v != reference %v",
 						i, len(prompts[i]), got[i], want[i])
+				}
+				if err := refs[i].Match(items[i].State); err != nil {
+					t.Errorf("session %d: %v", i, err)
 				}
 			}
 		})
 	}
 }
 
-// TestDecodeStepBatchSingleItem pins the degenerate B=1 batch to DecodeStep
-// on the same replica, including the state evolution (SeqLen/LastToken).
+// TestDecodeStepBatchSingleItem pins the degenerate B=1 batch — the shape
+// every DecodeStep runs — to the reference, state evolution included
+// (SeqLen, LastToken, stream norm, KV).
 func TestDecodeStepBatchSingleItem(t *testing.T) {
 	cfg := smallCfg(FamilyLlama)
-	serial := MustNew(cfg, 3, numerics.FP16)
-	batched := MustNew(cfg, 3, numerics.FP16)
+	m := MustNew(cfg, 3, numerics.FP16)
 	prompt := []int{9, 4, 31}
 
-	tokS := serial.Prefill(prompt)
-	it, tokB := prefillSession(batched, prompt)
-	if tokS != tokB {
-		t.Fatalf("prefill: %d != %d", tokS, tokB)
+	ref := NewReference(m)
+	rs := ref.Begin(len(prompt))
+	want := ref.Chunk(rs, prompt)
+	it, tok := prefillSession(m, prompt)
+	if tok != want {
+		t.Fatalf("prefill: %d != reference %d", tok, want)
 	}
 	var toks []int
 	for s := 1; s < 8; s++ {
-		tokS = serial.DecodeStep(tokS)
-		it.Tok = tokB
-		toks = batched.DecodeStepBatch([]BatchItem{it}, toks[:0])
-		tokB = toks[0]
-		if tokS != tokB {
-			t.Fatalf("step %d: serial %d != batched %d", s, tokS, tokB)
+		want = ref.Decode(rs, want)
+		it.Tok = tok
+		toks = m.ForwardBatch([]BatchItem{it}, toks[:0])
+		tok = toks[0]
+		if tok != want {
+			t.Fatalf("step %d: batched %d != reference %d", s, tok, want)
 		}
-		if got, want := it.State.SeqLen(), serial.SeqLen(); got != want {
-			t.Fatalf("step %d: SeqLen %d != %d", s, got, want)
+		if got := it.State.SeqLen(); got != len(prompt)+s {
+			t.Fatalf("step %d: SeqLen %d", s, got)
 		}
-		if got := it.State.LastToken(); got != tokS {
-			t.Fatalf("step %d: LastToken %d != %d", s, got, tokS)
+		if got := it.State.LastToken(); got != want {
+			t.Fatalf("step %d: LastToken %d != %d", s, got, want)
+		}
+		if err := rs.Match(it.State); err != nil {
+			t.Fatalf("step %d: %v", s, err)
 		}
 	}
 }
@@ -100,15 +109,14 @@ func TestDecodeStepBatchSingleItem(t *testing.T) {
 // TestDecodeStepBatchRowHooks checks per-session hook attribution: a hook
 // attached to one batch item observes one-row tensors with that session's
 // step counter, its mutations corrupt only that session's continuation, and
-// hook-free co-batched sessions still match the serial oracle bitwise.
+// hook-free co-batched sessions still match the reference bitwise.
 func TestDecodeStepBatchRowHooks(t *testing.T) {
 	const gen = 8
 	cfg := smallCfg(FamilyGPTJ)
-	oracle := MustNew(cfg, 5, numerics.FP16)
 	m := MustNew(cfg, 5, numerics.FP16)
 	prompts := [][]int{{6, 7, 8}, {12, 13, 14, 15}}
 
-	clean := oracle.Generate(prompts[1], gen)
+	clean, _ := NewReference(m).Generate(prompts[1], gen)
 
 	items := make([]BatchItem, 2)
 	for i, p := range prompts {
@@ -126,14 +134,14 @@ func TestDecodeStepBatchRowHooks(t *testing.T) {
 	got := [][]int{{items[0].Tok}, {items[1].Tok}}
 	var toks []int
 	for s := 1; s < gen; s++ {
-		toks = m.DecodeStepBatch(items, toks[:0])
+		toks = m.ForwardBatch(items, toks[:0])
 		for i, tok := range toks {
 			got[i] = append(got[i], tok)
 			items[i].Tok = tok
 		}
 	}
 	if !reflect.DeepEqual(got[1], clean) {
-		t.Errorf("hook-free session diverged: %v != %v", got[1], clean)
+		t.Errorf("hook-free session diverged from the reference: %v != %v", got[1], clean)
 	}
 	for _, r := range sawRows {
 		if r != 1 {
@@ -152,7 +160,7 @@ func TestDecodeStepBatchRowHooks(t *testing.T) {
 }
 
 // TestDecodeStepBatchModelHooksPanic pins the guard: model-level hooks
-// cannot be attributed to a session, so batched decode must refuse them.
+// cannot be attributed to a session, so ForwardBatch must refuse them.
 func TestDecodeStepBatchModelHooksPanic(t *testing.T) {
 	cfg := smallCfg(FamilyOPT)
 	m := MustNew(cfg, 2, numerics.FP16)
@@ -160,8 +168,8 @@ func TestDecodeStepBatchModelHooksPanic(t *testing.T) {
 	m.RegisterHook(func(HookCtx, *tensor.Tensor) {})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("DecodeStepBatch with model-level hooks did not panic")
+			t.Fatal("ForwardBatch with model-level hooks did not panic")
 		}
 	}()
-	m.DecodeStepBatch([]BatchItem{it}, nil)
+	m.ForwardBatch([]BatchItem{it}, nil)
 }

@@ -50,8 +50,8 @@ func TestF16StreamedDecodeBitIdenticalSerial(t *testing.T) {
 	}
 }
 
-// Batched decode, every family: f16-streamed DecodeStepBatch must match the
-// f32 serial oracle token-for-token.
+// Batched decode, every family: f16-streamed ForwardBatch decode must match
+// f32-streamed generation token-for-token.
 func TestF16StreamedDecodeBitIdenticalBatched(t *testing.T) {
 	const gen = 8
 	prompts := [][]int{{5, 9, 13}, {7}, {4, 6, 8, 10, 12}}
@@ -80,7 +80,7 @@ func TestF16StreamedDecodeBitIdenticalBatched(t *testing.T) {
 				}
 				var toks []int
 				for step := 1; step < gen; step++ {
-					toks = m.DecodeStepBatch(items, toks[:0])
+					toks = m.ForwardBatch(items, toks[:0])
 					for i, tok := range toks {
 						got[i] = append(got[i], tok)
 						items[i].Tok = tok

@@ -45,12 +45,6 @@ type HookCtx struct {
 // output neuron.
 type Hook func(ctx HookCtx, out *tensor.Tensor)
 
-// hookEntry pairs a hook with a registration handle for removal.
-type hookEntry struct {
-	id int
-	fn Hook
-}
-
 // HookHandle identifies a registered hook for removal.
 type HookHandle int
 
@@ -58,51 +52,56 @@ type HookHandle int
 // every linear layer's output has been computed and passed through the
 // precision gate — so an injector registered before a protector corrupts the
 // value first and the protector then gets a chance to detect it, exactly the
-// paper's fault/protection interleaving.
+// paper's fault/protection interleaving. Prefill, PrefillChunk and
+// DecodeStep pass the registered hooks, in order, as the Hooks of the one
+// BatchItem they run.
 func (m *Model) RegisterHook(h Hook) HookHandle {
 	m.nextHookID++
-	m.hooks = append(m.hooks, hookEntry{id: m.nextHookID, fn: h})
+	m.hooks = append(m.hooks, h)
+	m.hookIDs = append(m.hookIDs, HookHandle(m.nextHookID))
 	return HookHandle(m.nextHookID)
 }
 
 // RemoveHook unregisters a hook by handle; unknown handles are ignored.
 func (m *Model) RemoveHook(h HookHandle) {
-	for i, e := range m.hooks {
-		if e.id == int(h) {
+	for i, id := range m.hookIDs {
+		if id == h {
 			m.hooks = append(m.hooks[:i], m.hooks[i+1:]...)
+			m.hookIDs = append(m.hookIDs[:i], m.hookIDs[i+1:]...)
 			return
 		}
 	}
 }
 
+// HookRegistered reports whether the handle names a hook that is still
+// registered.
+func (m *Model) HookRegistered(h HookHandle) bool {
+	for _, id := range m.hookIDs {
+		if id == h {
+			return true
+		}
+	}
+	return false
+}
+
 // ClearHooks removes every registered hook.
-func (m *Model) ClearHooks() { m.hooks = m.hooks[:0] }
+func (m *Model) ClearHooks() {
+	m.hooks = m.hooks[:0]
+	m.hookIDs = m.hookIDs[:0]
+}
 
 // HookCount returns the number of registered hooks.
 func (m *Model) HookCount() int { return len(m.hooks) }
 
-func (m *Model) runHooks(ref LayerRef, site Site, in, out *tensor.Tensor) {
-	if len(m.hooks) == 0 {
-		return
-	}
-	ctx := HookCtx{Layer: ref, Site: site, Input: in, Step: m.st.step, FirstToken: m.st.step == 0}
-	for _, e := range m.hooks {
-		e.fn(ctx, out)
-	}
-	// Hooks mutate out through its raw Data (fault injection, clamping);
-	// drop any cached derived state.
-	out.MarkMutated()
-}
-
 // runBatchHooks fires each item's per-session hooks against a view of that
 // item's row range of out (and of in, for redundant-execution protections),
 // so hooks observe exactly the tensor shape — and therefore the flat neuron
-// indexing — they see in single-session decode (1 row) or single-session
-// chunked prefill (C rows). A prefill item's hooks run with FirstToken set,
-// exactly as a model-level hook sees the prefill pass, so FT2 observes
-// bounds over the range instead of clamping it. The views alias reusable
-// headers in the scratch arena and are only valid for the duration of the
-// hook call, like every hook tensor.
+// indexing — of the session's own rows: 1 row for a decode step, C rows for
+// a C-token prefill chunk, however many sessions share the call. A prefill
+// item's hooks run with FirstToken set, so FT2 observes bounds over the
+// range instead of clamping it. The views alias reusable headers in the
+// scratch arena and are only valid for the duration of the hook call, like
+// every hook tensor.
 func (m *Model) runBatchHooks(ref LayerRef, site Site, in, out *tensor.Tensor, items []BatchItem) {
 	any := false
 	for i := range items {

@@ -1,70 +1,42 @@
 package model
 
 import (
-	"math"
 	"testing"
 
 	"ft2/internal/numerics"
 )
 
-// TestKVCacheEquivalenceBitwise pins the contiguous-slab KV cache to the
-// from-scratch reference: for every family, every decode step's logits must
-// be bit-identical to a full-sequence forward pass over the tokens generated
-// so far. Prefill and decode share the same kernels, so any divergence here
-// means the cache layout or the incremental attention walk is wrong.
+// TestKVCacheEquivalenceBitwise pins the incremental KV cache to the
+// from-scratch reference: for every family, after every decode step the
+// engine's token, stream norm and KV slabs must be bit-identical to a
+// reference prefill of the whole sequence so far (prompt plus the tokens
+// generated before the step), which reuses no cache at all. Any divergence
+// means the slab layout or the incremental attention walk is wrong.
 func TestKVCacheEquivalenceBitwise(t *testing.T) {
 	const genTokens = 12
 	for _, f := range []Family{FamilyOPT, FamilyGPTJ, FamilyLlama} {
 		t.Run(f.String(), func(t *testing.T) {
-			cfg := smallCfg(f)
-			m := MustNew(cfg, 7, numerics.FP16)
-			prompt := []int{3, 14, 15, 9, 2, 6}
+			m := MustNew(smallCfg(f), 7, numerics.FP16)
+			ref := NewReference(m)
+			seq := []int{3, 14, 15, 9, 2, 6}
 
-			// Cached run: one prefill, then incremental single-token steps.
-			got := m.Generate(prompt, genTokens)
-
-			// Record the cached-path logits per step by replaying the same
-			// generation with a hookless second pass of forward calls.
-			m.resetState()
-			positions := make([]int, len(prompt))
-			for i := range positions {
-				positions[i] = i
-			}
-			cachedLogits := make([][]float32, 0, genTokens)
-			logits := m.forward(prompt, positions)
-			cachedLogits = append(cachedLogits, append([]float32(nil), logits...))
-			tok := argmax(logits)
-			for s := 1; s < genTokens; s++ {
-				m.st.step = s
-				m.scratch.stepTok[0] = tok
-				m.scratch.stepPos[0] = len(prompt) + s - 1
-				logits = m.forward(m.scratch.stepTok[:], m.scratch.stepPos[:])
-				cachedLogits = append(cachedLogits, append([]float32(nil), logits...))
-				tok = argmax(logits)
-			}
-
-			// Reference: rebuild every step from scratch as one full-sequence
-			// prefill over prompt + generated prefix, no cache reuse.
-			seq := append([]int(nil), prompt...)
+			tok := m.Prefill(seq)
 			for s := 0; s < genTokens; s++ {
-				m.resetState()
-				pos := make([]int, len(seq))
-				for i := range pos {
-					pos[i] = i
+				if s > 0 {
+					tok = m.DecodeStep(seq[len(seq)-1])
 				}
-				ref := m.forward(seq, pos)
-				for j, rv := range ref {
-					cv := cachedLogits[s][j]
-					if math.Float32bits(rv) != math.Float32bits(cv) {
-						t.Fatalf("%v step %d logit %d: cached %g (%#08x) != fresh %g (%#08x)",
-							f, s, j, cv, math.Float32bits(cv), rv, math.Float32bits(rv))
-					}
+				rs := ref.Begin(len(seq))
+				want := ref.Chunk(rs, seq)
+				if tok != want {
+					t.Fatalf("step %d: cached token %d != fresh token %d", s, tok, want)
 				}
-				refTok := argmax(ref)
-				if refTok != got[s] {
-					t.Fatalf("%v step %d: cached token %d != fresh token %d", f, s, got[s], refTok)
+				if got := m.State().lastStreamNorm; got != rs.streamNorm {
+					t.Fatalf("step %d: cached stream norm %g != fresh %g", s, got, rs.streamNorm)
 				}
-				seq = append(seq, refTok)
+				if err := rs.MatchKV(m.State()); err != nil {
+					t.Fatalf("step %d: %v", s, err)
+				}
+				seq = append(seq, tok)
 			}
 		})
 	}

@@ -2,10 +2,11 @@ package model_test
 
 // The mixed-phase fused-forward battery: ForwardBatch calls that co-batch
 // mid-prefill chunk ranges with decoding rows — protected sessions carrying
-// per-range FT2 hooks, a chaos-corrupted neighbor in the same batch — must
-// reproduce each session's serial oracle bit-for-bit, at any attention
-// worker count. The package is model_test (not model) so real core.FT2
-// controllers can ride on the items like the serving scheduler's do.
+// per-range FT2 or hybrid hooks, a chaos-corrupted neighbor in the same
+// batch — must reproduce each session's reference-forward generation
+// bit-for-bit, at any attention worker count. The package is model_test
+// (not model) so real core controllers can ride on the items like the
+// serving scheduler's do.
 
 import (
 	"reflect"
@@ -17,6 +18,34 @@ import (
 	"ft2/internal/numerics"
 	"ft2/internal/tensor"
 )
+
+// controller is what the batteries need of core.FT2 and core.Hybrid.
+type controller interface {
+	Install()
+	Hook() model.Hook
+	Reset()
+	ResumeFork(core.ForkState)
+	CaptureForkState() core.ForkState
+}
+
+// newController builds the named protection on m: "ft2" (the
+// architectural FT2 coverage), "hybrid" (goldenPolicy's ABFT+FT2 tiers), or
+// nil for "bare".
+func newController(m *model.Model, prot string) controller {
+	switch prot {
+	case "ft2":
+		return core.New(m, core.Defaults())
+	case "hybrid":
+		return core.NewHybrid(m, core.Defaults(), goldenPolicy(), nil)
+	}
+	return nil
+}
+
+// forkBytes is a controller's fork state in its canonical wire encoding.
+func forkBytes(c controller) string {
+	st := c.CaptureForkState()
+	return string(core.AppendForkState(nil, &st))
+}
 
 func mixedCfg(f model.Family) model.Config {
 	c := model.Config{
@@ -40,10 +69,11 @@ func mixedCfg(f model.Family) model.Config {
 type mixedSession struct {
 	prompt  []int
 	st      *model.DecodeState
-	ft      *core.FT2 // non-nil: protected (FT2 hook rides on every range)
-	corrupt bool      // chaos neighbor: a hook flips its FC1 rows
-	chunk   int       // >0: enter the batch mid-prefill in chunks this size
-	pos     int       // prefill cursor (tokens already fed)
+	prot    string     // "ft2" or "hybrid": protected, its hook rides on every range
+	ctl     controller // the protection controller on the shared replica
+	corrupt bool       // chaos neighbor: a hook flips its FC1 rows
+	chunk   int        // >0: enter the batch mid-prefill in chunks this size
+	pos     int        // prefill cursor (tokens already fed)
 	lastTok int
 	got     []int
 	fired   int // corruption-hook invocations
@@ -76,8 +106,8 @@ func runMixedPhase(t *testing.T, m *model.Model, sessions []*mixedSession, gen i
 			} else {
 				it.Tok = s.lastTok
 			}
-			if s.ft != nil {
-				it.Hooks = append(it.Hooks, s.ft.Hook())
+			if s.ctl != nil {
+				it.Hooks = append(it.Hooks, s.ctl.Hook())
 			}
 			if s.corrupt {
 				sess := s
@@ -118,32 +148,33 @@ func openChunkedPrefill(m *model.Model, s *mixedSession) {
 	m.SwapState(prev)
 }
 
-// openDecoding runs the serial prefill (protected when s.ft is set, exactly
-// like a scheduler slot would) so the session enters the batch decoding.
+// openDecoding runs the single-session prefill (with the controller's hook
+// registered when the session is protected) so the session enters the
+// batch decoding.
 func openDecoding(m *model.Model, s *mixedSession) {
 	s.st = m.NewDecodeState()
 	prev := m.SwapState(s.st)
-	if s.ft != nil {
-		s.ft.Install()
+	if s.ctl != nil {
+		s.ctl.Install()
 	}
 	tok := m.Prefill(s.prompt)
-	if s.ft != nil {
-		m.ClearHooks()
-	}
+	m.ClearHooks()
 	m.SwapState(prev)
 	s.pos = len(s.prompt)
 	s.lastTok = tok
 	s.got = append(s.got, tok)
 }
 
-// TestForwardBatchMixedPhaseBitwise is the battery: for every family, a
-// fused schedule of two decoding sessions (one FT2-protected, one clean), a
-// chaos-corrupted neighbor, and a session prefilling its prompt in chunks
-// co-batched with the decode rows — every uncorrupted session must emit
-// exactly the tokens a fresh serial replica produces, and the corrupted
-// neighbor must not leak into any of them. The same schedule repeats with
-// the attention fan-out forced onto pool workers (SetNumCPUOverride +
-// GOMAXPROCS), which must not change a bit; run it under -race to check the
+// TestForwardBatchMixedPhaseBitwise is the battery: for every family and
+// both precisions, a fused schedule of three decoding sessions (one
+// FT2-protected, one hybrid-protected, one clean), a chaos-corrupted
+// neighbor, and a session prefilling its prompt in chunks co-batched with
+// the decode rows — every uncorrupted session must emit exactly the tokens
+// the reference forward produces with the same protection, its controller
+// must end in the same fork state, and the corrupted neighbor must not
+// leak into any of them. The same schedule repeats with the attention
+// fan-out forced onto pool workers (SetNumCPUOverride + GOMAXPROCS), which
+// must not change a bit; run it under -race to check the
 // per-(session×head) disjointness claim.
 func TestForwardBatchMixedPhaseBitwise(t *testing.T) {
 	const gen = 8
@@ -162,57 +193,71 @@ func TestForwardBatchMixedPhaseBitwise(t *testing.T) {
 						tensor.SetNumCPUOverride(prevC)
 					}()
 				}
-				cfg := mixedCfg(fam)
-				m := model.MustNew(cfg, 17, numerics.FP16)
-
-				sessions := []*mixedSession{
-					{prompt: []int{5, 9, 13}},                             // protected decoder
-					{prompt: []int{7, 11}},                                // clean decoder
-					{prompt: []int{4, 6, 8, 10, 12, 14, 16, 18, 3, 2, 1}}, // chunked prefill, co-batched
-					{prompt: []int{20, 21, 22, 23, 24}, corrupt: true},    // chaos neighbor
-				}
-				sessions[0].ft = core.Attach(m, core.Defaults())
-				sessions[2].chunk = 3
-
-				// Serial oracles on fresh replicas: protected sessions
-				// against a protected serial Generate, clean ones against
-				// the bare model.
-				want := make([][]int, len(sessions))
-				for i, s := range sessions {
-					if s.corrupt {
-						continue
-					}
-					om := model.MustNew(cfg, 17, numerics.FP16)
-					if i == 0 {
-						want[i] = core.Attach(om, core.Defaults()).Generate(s.prompt, gen)
-					} else {
-						want[i] = om.Generate(s.prompt, gen)
-					}
-				}
-
-				openDecoding(m, sessions[0])
-				openDecoding(m, sessions[1])
-				openChunkedPrefill(m, sessions[2])
-				openDecoding(m, sessions[3])
-
-				runMixedPhase(t, m, sessions, gen)
-
-				for i, s := range sessions {
-					if s.corrupt {
-						if s.fired == 0 {
-							t.Fatal("corruption hook never fired")
-						}
-						continue
-					}
-					if !reflect.DeepEqual(s.got, want[i]) {
-						t.Errorf("session %d: fused %v != serial oracle %v", i, s.got, want[i])
-					}
-				}
-				if len(sessions[2].got) != gen {
-					t.Fatalf("chunked-prefill session emitted %d tokens, want %d", len(sessions[2].got), gen)
+				for _, dt := range []numerics.DType{numerics.FP16, numerics.FP32} {
+					mixedPhaseSchedule(t, mixedCfg(fam), dt, gen)
 				}
 			})
 		}
+	}
+}
+
+func mixedPhaseSchedule(t *testing.T, cfg model.Config, dt numerics.DType, gen int) {
+	t.Helper()
+	m := model.MustNew(cfg, 17, dt)
+	sessions := []*mixedSession{
+		{prompt: []int{5, 9, 13}, prot: "ft2"},                          // protected decoder
+		{prompt: []int{7, 11}},                                          // clean decoder
+		{prompt: []int{4, 6, 8, 10, 12, 14, 16, 18, 3, 2, 1}, chunk: 3}, // chunked prefill, co-batched
+		{prompt: []int{20, 21, 22, 23, 24}, corrupt: true},              // chaos neighbor
+		{prompt: []int{30, 31, 32, 33}, prot: "hybrid"},                 // hybrid decoder
+	}
+
+	// Reference generations on a twin replica, each protected session
+	// against its own controller on the twin.
+	twin := model.MustNew(cfg, 17, dt)
+	ref := model.NewReference(twin)
+	want := make([][]int, len(sessions))
+	wantFork := make([]string, len(sessions))
+	for i, s := range sessions {
+		if s.corrupt {
+			continue
+		}
+		var hooks []model.Hook
+		c := newController(twin, s.prot)
+		if c != nil {
+			hooks = append(hooks, c.Hook())
+		}
+		want[i], _ = ref.Generate(s.prompt, gen, hooks...)
+		if c != nil {
+			wantFork[i] = forkBytes(c)
+		}
+		s.ctl = newController(m, s.prot)
+	}
+
+	openDecoding(m, sessions[0])
+	openDecoding(m, sessions[1])
+	openChunkedPrefill(m, sessions[2])
+	openDecoding(m, sessions[3])
+	openDecoding(m, sessions[4])
+
+	runMixedPhase(t, m, sessions, gen)
+
+	for i, s := range sessions {
+		if s.corrupt {
+			if s.fired == 0 {
+				t.Fatal("corruption hook never fired")
+			}
+			continue
+		}
+		if !reflect.DeepEqual(s.got, want[i]) {
+			t.Errorf("%v session %d: fused %v != reference %v", dt, i, s.got, want[i])
+		}
+		if s.ctl != nil && forkBytes(s.ctl) != wantFork[i] {
+			t.Errorf("%v session %d: controller fork state differs from the reference run", dt, i)
+		}
+	}
+	if len(sessions[2].got) != gen {
+		t.Fatalf("chunked-prefill session emitted %d tokens, want %d", len(sessions[2].got), gen)
 	}
 }
 

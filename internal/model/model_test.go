@@ -194,13 +194,16 @@ func TestGeneratePanicsOnBadInput(t *testing.T) {
 
 // The KV-cache incremental path must agree with a full re-forward: generate
 // one token at a time and check that prefilling the extended prompt yields
-// the same next token.
+// the same next token, and that both match the reference forward.
 func TestKVCacheConsistency(t *testing.T) {
 	for _, f := range []Family{FamilyOPT, FamilyGPTJ, FamilyLlama} {
 		cfg := smallCfg(f)
 		m := MustNew(cfg, 11, numerics.FP16)
 		prompt := []int{4, 8, 15, 16}
 		gen := m.Generate(prompt, 5)
+		if want, _ := NewReference(m).Generate(prompt, 5); !equalInts(gen, want) {
+			t.Errorf("%v: cached generation %v, reference %v", f, gen, want)
+		}
 
 		// Recompute each step by prefilling prompt+prefix from scratch.
 		for i := 1; i < 5; i++ {
@@ -208,6 +211,60 @@ func TestKVCacheConsistency(t *testing.T) {
 			got := m.Generate(extended, 1)[0]
 			if got != gen[i] {
 				t.Errorf("%v: KV-cache path diverges at step %d: cached=%d fresh=%d", f, i, gen[i], got)
+			}
+		}
+	}
+}
+
+// hookCall is one observed hook invocation: where, when, and the bits of
+// the tensors the hook was handed.
+type hookCall struct {
+	ctx               HookCtx
+	rows, cols, inRow int
+	out               uint64
+}
+
+func recordHook(calls *[]hookCall) Hook {
+	return func(ctx HookCtx, out *tensor.Tensor) {
+		c := hookCall{ctx: ctx, rows: out.Rows, cols: out.Cols, out: 14695981039346656037}
+		for _, v := range out.Data {
+			c.out = (c.out ^ uint64(math.Float32bits(v))) * 1099511628211
+		}
+		if ctx.Input != nil {
+			c.inRow = ctx.Input.Rows
+		}
+		c.ctx.Input = nil
+		*calls = append(*calls, c)
+	}
+}
+
+// TestHooksMatchReference: model-level hooks see, call for call, the layer
+// sites, steps and tensor bits the reference forward hands the same hooks —
+// including a mutating hook whose corruption both forwards must propagate
+// identically.
+func TestHooksMatchReference(t *testing.T) {
+	corrupt := func(ctx HookCtx, out *tensor.Tensor) {
+		if ctx.Layer == (LayerRef{1, VProj}) && ctx.Step == 2 && ctx.Site == SiteLinearOut {
+			out.Data[3] = 9
+		}
+	}
+	for _, f := range []Family{FamilyOPT, FamilyGPTJ, FamilyLlama} {
+		m := MustNew(smallCfg(f), 5, numerics.FP16)
+		prompt := []int{1, 2, 3, 9, 11}
+		var engine, reference []hookCall
+		m.RegisterHook(corrupt)
+		m.RegisterHook(recordHook(&engine))
+		got := m.Generate(prompt, 5)
+		want, _ := NewReference(m).Generate(prompt, 5, corrupt, recordHook(&reference))
+		if !equalInts(got, want) {
+			t.Errorf("%v: hooked generation %v, reference %v", f, got, want)
+		}
+		if len(engine) != len(reference) {
+			t.Fatalf("%v: engine fired %d hook calls, reference %d", f, len(engine), len(reference))
+		}
+		for i := range engine {
+			if engine[i] != reference[i] {
+				t.Fatalf("%v: hook call %d: engine %+v, reference %+v", f, i, engine[i], reference[i])
 			}
 		}
 	}

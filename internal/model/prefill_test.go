@@ -27,43 +27,27 @@ func chunkedPrefill(m *Model, prompt []int, chunk int) int {
 	panic("prefill never completed")
 }
 
-// kvEqual compares two snapshots' KV payloads bit-for-bit.
-func kvEqual(a, b *Snapshot) bool {
-	if a.rows != b.rows || len(a.k) != len(b.k) {
-		return false
-	}
-	for blk := range a.k {
-		for i := range a.k[blk] {
-			if a.k[blk][i] != b.k[blk][i] || a.v[blk][i] != b.v[blk][i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // TestPrefillChunkBitIdentical: a chunked prefill must leave state — first
 // token, KV bits, and the whole greedy continuation — identical to the
-// single-pass Prefill, for every family and chunk size including 1.
+// reference's single-pass prefill, for every family and chunk size
+// including 1.
 func TestPrefillChunkBitIdentical(t *testing.T) {
 	for _, f := range []Family{FamilyOPT, FamilyGPTJ, FamilyLlama} {
 		t.Run(f.String(), func(t *testing.T) {
 			cfg := smallCfg(f)
 			m := MustNew(cfg, 11, numerics.FP16)
+			ref := NewReference(m)
 			prompt := []int{5, 9, 21, 33, 2, 40, 7}
 			const n = 8
-			want := m.Generate(prompt, n)
-			var wantSnap Snapshot
-			m.Prefill(prompt)
-			m.Checkpoint(&wantSnap)
+			want, _ := ref.Generate(prompt, n)
+			wantPrefill := ref.Begin(len(prompt))
+			ref.Chunk(wantPrefill, prompt)
 
 			for _, chunk := range []int{1, 2, 3, 5, len(prompt)} {
 				got := make([]int, 0, n)
 				tok := chunkedPrefill(m, prompt, chunk)
-				var gotSnap Snapshot
-				m.Checkpoint(&gotSnap)
-				if !kvEqual(&wantSnap, &gotSnap) {
-					t.Fatalf("chunk=%d: prefill KV differs from single-pass", chunk)
+				if err := wantPrefill.Match(m.State()); err != nil {
+					t.Fatalf("chunk=%d: prefill state differs from the reference: %v", chunk, err)
 				}
 				got = append(got, tok)
 				for s := 1; s < n; s++ {
@@ -79,8 +63,8 @@ func TestPrefillChunkBitIdentical(t *testing.T) {
 }
 
 // TestResumePrefillPrefixBitIdentical: seeding a prefill from a cached
-// prefix view and computing only the suffix must reproduce the cold
-// generation bit-for-bit at every prefix depth, including depth 0.
+// prefix view and computing only the suffix must reproduce the reference's
+// cold generation bit-for-bit at every prefix depth, including depth 0.
 func TestResumePrefillPrefixBitIdentical(t *testing.T) {
 	for _, f := range []Family{FamilyOPT, FamilyGPTJ, FamilyLlama} {
 		t.Run(f.String(), func(t *testing.T) {
@@ -88,15 +72,15 @@ func TestResumePrefillPrefixBitIdentical(t *testing.T) {
 			donor := MustNew(cfg, 7, numerics.FP16)
 			prompt := []int{3, 14, 15, 9, 2, 6, 26, 5}
 			const n = 8
-			want := donor.Generate(prompt, n)
+			ref := NewReference(donor)
+			want, _ := ref.Generate(prompt, n)
+			wantPrefill := ref.Begin(len(prompt))
+			ref.Chunk(wantPrefill, prompt)
 
 			// Cache entry: the full-prompt KV captured right after prefill.
 			donor.Prefill(prompt)
 			var cached Snapshot
 			donor.Checkpoint(&cached)
-			var wantSnap Snapshot
-			donor.Prefill(prompt)
-			donor.Checkpoint(&wantSnap)
 
 			m := MustNew(cfg, 7, numerics.FP16)
 			for _, rows := range []int{0, 1, len(prompt) / 2, len(prompt) - 1} {
@@ -109,10 +93,8 @@ func TestResumePrefillPrefixBitIdentical(t *testing.T) {
 				if !done {
 					t.Fatalf("rows=%d: suffix chunk did not complete", rows)
 				}
-				var gotSnap Snapshot
-				m.Checkpoint(&gotSnap)
-				if !kvEqual(&wantSnap, &gotSnap) {
-					t.Fatalf("rows=%d: prefix-seeded KV differs from cold prefill", rows)
+				if err := wantPrefill.Match(m.State()); err != nil {
+					t.Fatalf("rows=%d: prefix-seeded state differs from the reference: %v", rows, err)
 				}
 				got := append(make([]int, 0, n), tok)
 				for s := 1; s < n; s++ {

@@ -26,8 +26,8 @@ type controller interface {
 
 // replica is one model instance plus its per-batch-slot protection
 // controllers. A replica is owned by exactly one scheduler worker; sessions
-// borrow it for a slice at a time — serially (SwapState + Prefill/DecodeStep)
-// or fused into one DecodeStepBatch call.
+// borrow it for a slice at a time, their rows fused into ForwardBatch calls
+// (one session per call below the fusion crossover).
 type replica struct {
 	m      *model.Model
 	opts   core.Options

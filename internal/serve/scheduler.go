@@ -21,7 +21,7 @@ import (
 // scheduler implements continuous batching over the replica pool: admitted
 // sessions circulate through a ready ring; each worker repeatedly gathers up
 // to BatchMax ready sessions into a group, advances the whole group one
-// slice on its replica — fused into DecodeStepBatch calls so every weight
+// slice on its replica — fused into ForwardBatch calls so every weight
 // matrix streams once per step for the whole group — and puts the survivors
 // back. A long generation shares replicas with short ones, a finished
 // session frees its slot immediately, and the next queued request is
@@ -444,7 +444,6 @@ func (sch *scheduler) openPrefill(r *replica, s *Session) (err error) {
 		}
 	}()
 	m := r.m
-	m.ClearHooks()
 	if s.state == nil {
 		s.state = sch.obtainState(r)
 	}
@@ -538,10 +537,10 @@ func (sch *scheduler) finishPrefill(r *replica, g *group, i, tok int) {
 // chunk — through a single model.ForwardBatch call whose stacked rows stream
 // every weight matrix once for the whole group. A prefill chunk consumes one
 // slice step, so a session admitted mid-slice starts decoding in the same
-// group the moment its prompt completes. Serial fallbacks keep the fast
-// paths: a lone decoding session steps via swapped-state DecodeStep, and a
-// decode-only step whose group is below the kernel cost model's fusion
-// crossover (FuseWorthwhile) runs serially per session. Finished and expired
+// group the moment its prompt completes. A decode-only step with one row, or
+// with a group below the kernel cost model's fusion crossover
+// (FuseWorthwhile), runs as one-item ForwardBatch calls instead; only the
+// stacked calls count as fused forwards in the metrics. Finished and expired
 // sessions settle mid-loop; survivors are re-enqueued to the ready ring. Any
 // panic out of the engine (or a hook) becomes a 500-class error for the
 // whole group instead of crashing the server.
@@ -554,28 +553,7 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 		}
 	}()
 	m := r.m
-	m.ClearHooks()
 	cm := tensor.CurrentCostModel()
-
-	// serial advances one decoding session via the single-row model path —
-	// bit-identical to its fused row by the ForwardBatch contract.
-	serial := func(i int) {
-		s := g.sessions[i]
-		m.ClearHooks()
-		// A chaos injector hook registers before the protection controller —
-		// faults corrupt the raw output, protection sees the corruption (the
-		// campaign runner's ordering).
-		if g.extras[i] != nil {
-			m.RegisterHook(g.extras[i])
-		}
-		if g.ctls[i] != nil {
-			g.ctls[i].Install()
-		}
-		prev := m.SwapState(s.state)
-		s.lastTok = m.DecodeStep(s.lastTok)
-		m.SwapState(prev)
-		m.ClearHooks()
-	}
 
 	for {
 		// Step boundary: settle sessions whose deadline expired or whose
@@ -643,20 +621,16 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 		}
 
 		t0 := time.Now()
-		fused := false
-		switch {
-		case len(g.idx) == 1 && prefRows == 0:
-			serial(g.idx[0])
-		case prefRows == 0 && !cm.FuseWorthwhile(decRows):
-			// Below the measured fusion crossover a small decode group runs
-			// faster serially (per-row kernels keep their m=1 speed while the
-			// fused slice pays the wider-matrix rate).
-			for _, i := range g.idx {
-				serial(i)
+		if prefRows == 0 && (decRows == 1 || !cm.FuseWorthwhile(decRows)) {
+			// A lone decode row, or a decode group below the measured fusion
+			// crossover, runs one item per forward: per-row kernels keep
+			// their m=1 speed where the fused slice would pay the
+			// wider-matrix rate. Each result lands at the item's index.
+			for n := range g.items {
+				g.toks = m.ForwardBatch(g.items[n:n+1], g.toks[:n])
 			}
-		default:
+		} else {
 			g.toks = m.ForwardBatch(g.items, g.toks[:0])
-			fused = true
 			sch.mx.fusedForwards.Add(1)
 			sch.mx.fusedPrefillRows.Add(int64(prefRows))
 			sch.mx.fusedDecodeRows.Add(int64(decRows))
@@ -691,9 +665,7 @@ func (sch *scheduler) fusedSlice(r *replica, g *group) (err error) {
 				}
 				continue
 			}
-			if fused {
-				s.lastTok = g.toks[n]
-			}
+			s.lastTok = g.toks[n]
 			s.emit(s.lastTok)
 			sch.mx.tokensTotal.Add(1)
 			g.rem[i]--
@@ -760,13 +732,12 @@ func (sch *scheduler) obtainState(r *replica) *model.DecodeState {
 
 // replaceReplica swaps in a freshly built replica after a panic or a
 // confirmed weight corruption poisoned the current one; if the rebuild
-// fails the old one is kept with hooks cleared.
+// fails the old one is kept.
 func (sch *scheduler) replaceReplica(r *replica) *replica {
 	if nr, err := sch.pool.rebuild(r.slot); err == nil {
 		sch.mx.rebuilds.Add(1)
 		return nr
 	}
-	r.m.ClearHooks()
 	r.tainted = false
 	return r
 }

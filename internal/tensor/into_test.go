@@ -184,3 +184,20 @@ func TestRopeTableMatchesRotaryEmbed(t *testing.T) {
 		}
 	}
 }
+
+// DotRow is the element definition of MatMulTInto: every output element of
+// a batched, blocked, tiled MatMulT equals DotRow of its two rows, bitwise.
+func TestDotRowIsMatMulTElement(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, m := range []int{1, 3, 9, 70} {
+		a, b := randTensor(rng, m, 37), randTensor(rng, 45, 37)
+		out := MatMulTInto(New(m, 45), a, b)
+		for i := 0; i < m; i++ {
+			for j := 0; j < 45; j++ {
+				if got, want := out.Data[i*45+j], DotRow(a.Row(i), b.Row(j)); math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("m=%d (%d,%d): MatMulT %x, DotRow %x", m, i, j, math.Float32bits(got), math.Float32bits(want))
+				}
+			}
+		}
+	}
+}

@@ -234,6 +234,14 @@ func matMulTCols(out, a, b *Tensor, lo, hi int) {
 	}
 }
 
+// DotRow is the per-element kernel of MatMulTInto and LinearInto: element
+// (i, j) of a × bᵀ is DotRow(a.Row(i), b.Row(j)) bit-for-bit on every path
+// (serial, row- or column-split, 4-row blocked, tiled, f16-streamed). It
+// runs the FMA tier where the host has one, so it may differ from Dot in
+// the last bits; a reference that rebuilds a layer one element at a time
+// uses DotRow to stay comparable bitwise.
+func DotRow(a, b []float32) float32 { return dotRow(a, b) }
+
 // Linear computes x × wᵀ + bias, the canonical nn.Linear forward pass
 // (w: out×in stored row-major like PyTorch, bias: len out or nil).
 func Linear(x, w *Tensor, bias []float32) *Tensor {
