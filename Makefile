@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-mp fuzz bench bench-json perfguard smoke serve-smoke serve-smoke-mp chaos-smoke prefix-smoke router-smoke ci
+.PHONY: build test vet bench-module race race-mp fuzz bench bench-json perfguard smoke serve-smoke serve-smoke-mp chaos-smoke prefix-smoke router-smoke ci
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The benchmark harness is its own module (benchmark/go.mod, replacing ft2
+# with this checkout), so the root ./... never compiles it: vet and test it
+# here so an API change it depends on fails CI instead of the benchmark.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The race detector pass covers the packages with goroutine fan-out: the
 # tensor kernels' pooled parallel paths, the campaign worker pool, and the
@@ -83,4 +89,4 @@ prefix-smoke:
 router-smoke:
 	scripts/router_smoke.sh
 
-ci: vet build test race race-mp fuzz perfguard smoke serve-smoke serve-smoke-mp chaos-smoke prefix-smoke router-smoke
+ci: vet build test bench-module race race-mp fuzz perfguard smoke serve-smoke serve-smoke-mp chaos-smoke prefix-smoke router-smoke

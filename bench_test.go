@@ -144,7 +144,6 @@ func BenchmarkGenerateFT2(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := ft2.Protect(m, ft2.DefaultOptions())
-	defer p.Detach()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

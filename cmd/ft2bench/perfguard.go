@@ -132,9 +132,8 @@ func runServeGuard(seed int64) error {
 	if err != nil {
 		return err
 	}
-	f := core.Attach(m, ecfg.FT2Opts)
+	f := core.New(m, ecfg.FT2Opts)
 	f.Generate(promptFor(0), maxTokens) // warm scratch arenas
-	defer f.Detach()
 
 	ok := false
 	var serialTPS, batchedTPS float64

@@ -61,10 +61,9 @@ func main() {
 		perfmodel.ProfilingHours(perfmodel.H100, w, ds.RefProfilingInputs))
 
 	// First-token capture on one input.
-	f := core.Attach(m, core.Defaults())
+	f := core.New(m, core.Defaults())
 	f.Generate(ds.Inputs[0].Prompt, ds.GenTokens)
 	online := f.Bounds()
-	f.Detach()
 
 	fmt.Printf("\n%-28s %-24s %-24s\n", "layer", "offline bounds", "first-token bounds (×2)")
 	type row struct {

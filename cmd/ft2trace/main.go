@@ -75,7 +75,7 @@ func main() {
 			}
 		})
 		if *protectFlag {
-			core.Attach(m, core.Defaults())
+			m.RegisterHook(core.New(m, core.Defaults()).Hook())
 		}
 	})
 	if err != nil {

@@ -18,7 +18,6 @@ func Example() {
 		panic(err)
 	}
 	prot := ft2.Protect(m, ft2.DefaultOptions())
-	defer prot.Detach()
 
 	out := prot.Generate([]int{4, 17, 42, 99}, 8)
 	fmt.Println(len(out), "tokens, bounds for", prot.Bounds().Len(), "layers")

@@ -49,7 +49,7 @@ func main() {
 	fmt.Println("\n=== FT2 attached: clipped right after the originating layer ===")
 	devs, err = trace.Run(m, prompt, 12, func() {
 		inject()
-		core.Attach(m, core.Defaults())
+		m.RegisterHook(core.New(m, core.Defaults()).Hook())
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -35,7 +35,6 @@ func main() {
 	prot := ft2.Protect(m, ft2.DefaultOptions())
 	prot.Generate(ds.Inputs[0].Prompt, ds.GenTokens)
 	online := prot.Bounds()
-	prot.Detach()
 
 	fmt.Println("bounds for block 0 critical layers (offline vs first-token x2):")
 	for _, kind := range []model.LayerKind{model.VProj, model.OutProj, model.UpProj, model.DownProj} {
@@ -57,10 +56,9 @@ func main() {
 		m2 := model.MustNew(cfg, 42, numerics.FP16)
 		opts := core.Defaults()
 		opts.ScaleFactor = scale
-		p := core.Attach(m2, opts)
+		p := core.New(m2, opts)
 		p.Generate(ds.Inputs[1].Prompt, ds.GenTokens)
 		fmt.Printf("  scale %.2fx: %d values corrected in a fault-free run\n",
 			scale, p.Stats().Total())
-		p.Detach()
 	}
 }

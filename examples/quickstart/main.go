@@ -1,4 +1,4 @@
-// Quickstart: build a model from the zoo, attach FT2, and run a protected
+// Quickstart: build a model from the zoo, protect it with FT2, and run a protected
 // generation — the minimal end-to-end use of the public API.
 package main
 
@@ -28,10 +28,9 @@ func main() {
 		fmt.Printf("  %s\n", ref)
 	}
 
-	// 3. Attach FT2 with the paper's defaults: first-token bounds scaled
+	// 3. Build FT2 with the paper's defaults: first-token bounds scaled
 	//    2x, clip-to-bound, NaN correction, critical-layer coverage.
 	prot := ft2.Protect(m, ft2.DefaultOptions())
-	defer prot.Detach()
 
 	// 4. Run a protected inference on a synthetic QA input.
 	ds, err := ft2.LoadDataset("squad-sim", 1)

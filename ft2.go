@@ -8,7 +8,7 @@
 //	cfg, _ := ft2.ModelByName("llama2-7b-sim")     // 1. pick a model
 //	m, _ := ft2.NewModel(cfg, 42, ft2.FP16)        //    build it
 //	crit := ft2.CriticalLayers(cfg)                // 2. structural analysis
-//	prot := ft2.Protect(m, ft2.DefaultOptions())   // 3. attach FT2
+//	prot := ft2.Protect(m, ft2.DefaultOptions())   // 3. FT2 for the model
 //	out := prot.Generate(prompt, 60)               // 4. protected inference
 //
 // Everything else — the fault injector, the baseline protections, the
@@ -45,7 +45,7 @@ type (
 	LayerKind = model.LayerKind
 	// Options tunes the FT2 protector.
 	Options = core.Options
-	// Protector is an attached FT2 instance.
+	// Protector is an FT2 controller for one model.
 	Protector = core.FT2
 	// Dataset is a synthetic evaluation corpus.
 	Dataset = data.Dataset
@@ -118,9 +118,10 @@ func NewModel(cfg ModelConfig, seed int64, dtype DType) (*Model, error) {
 // coverage, first-token bounds scaled 2×, clip-to-bound, NaN correction.
 func DefaultOptions() Options { return core.Defaults() }
 
-// Protect attaches FT2 to a model. Use the returned Protector's Generate so
-// per-inference bounds reset correctly; call Detach to remove the hook.
-func Protect(m *Model, opts Options) *Protector { return core.Attach(m, opts) }
+// Protect builds an FT2 protector for a model. Its Generate runs a protected
+// inference: bounds reset, and FT2's hook runs for that call only, so the
+// model itself is left unchanged.
+func Protect(m *Model, opts Options) *Protector { return core.New(m, opts) }
 
 // IsCriticalLayer applies the paper's heuristic: a layer is critical iff no
 // scaling operation or activation layer sits between it and the next linear

@@ -24,7 +24,6 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ft2.Protect(m, ft2.DefaultOptions())
-	defer p.Detach()
 	out := p.Generate(ds.Inputs[0].Prompt, 20)
 	if len(out) != 20 {
 		t.Fatalf("generated %d tokens", len(out))

@@ -96,7 +96,7 @@ func TestLinearCheckerFlagsWeightCorruption(t *testing.T) {
 	// corrupted weight element provably moves the row checksum.
 	var best int
 	var bestAbs float32
-	probe := m.RegisterHook(func(ctx model.HookCtx, _ *tensor.Tensor) {
+	m.Generate(prompt, 1, func(ctx model.HookCtx, _ *tensor.Tensor) {
 		if ctx.Layer != ref || ctx.Step != 0 {
 			return
 		}
@@ -109,8 +109,6 @@ func TestLinearCheckerFlagsWeightCorruption(t *testing.T) {
 			}
 		}
 	})
-	m.Generate(prompt, 1)
-	m.RemoveHook(probe)
 
 	w := m.Weight(ref)
 	w.Data[best] += 32 // row 0, channel best

@@ -557,11 +557,8 @@ type trialRunner struct {
 	weight float64             // prefill weight, resolved once
 	plans  map[int]*fault.Plan // keyed by prompt length
 	inj    fault.Injector
-	hy     *core.Hybrid       // non-nil iff spec.Policy is set
-	dmr    *protect.DMR       // non-nil iff spec.UseDMR
-	prot   *protect.Protector // non-nil for bounds-based methods
-	ft2    *core.FT2          // non-nil iff spec.Method is MethodFT2
-	outBuf []int              // reused per-trial output buffer, cap GenTokens
+	prot   protection
+	outBuf []int // reused per-trial output buffer, cap GenTokens
 	// dirty marks the replica as possibly poisoned (a panic escaped a
 	// trial); the worker replaces the runner before reusing it.
 	dirty bool
@@ -582,28 +579,7 @@ func newTrialRunner(spec Spec, golden [][]int, forks *forkStore) (*trialRunner, 
 		plans:  make(map[int]*fault.Plan),
 		outBuf: make([]int, 0, spec.Dataset.GenTokens),
 	}
-	if spec.Policy != nil {
-		// refs nil: the replica is pristine here, so the hybrid captures its
-		// own ABFT reference sums at build time.
-		r.hy = core.NewHybrid(m, spec.FT2Opts, spec.Policy, nil)
-	} else if spec.UseDMR {
-		r.dmr = protect.NewDMR(m)
-	} else if spec.CustomCoverage != nil {
-		r.prot = &protect.Protector{
-			Coverage:   spec.CustomCoverage,
-			BoundsFor:  spec.OfflineBounds.Get,
-			Mode:       protect.ClipToBound,
-			CorrectNaN: true,
-		}
-	} else {
-		switch spec.Method {
-		case arch.MethodNone:
-		case arch.MethodFT2:
-			r.ft2 = core.New(m, spec.FT2Opts)
-		default:
-			r.prot = protect.ForMethod(spec.Method, spec.ModelCfg.Family, spec.OfflineBounds)
-		}
-	}
+	r.prot = newProtection(spec, m, protect.ClipToBound)
 	return r, nil
 }
 
@@ -676,7 +652,12 @@ func (r *trialRunner) runWithSite(ctx context.Context, idx int, site fault.Site)
 	// Hook order matters: the injector corrupts the layer output first, the
 	// protection then gets its chance to detect/correct; the watchdog runs
 	// last. Hooks are cleared by runGuarded's defer even when the trial
-	// panics.
+	// panics. A forked trial's protection counters resume from their values
+	// at the checkpoint.
+	var resume core.ForkState
+	if cp != nil {
+		resume = cp.st
+	}
 	m.ClearHooks()
 	m.RegisterHook(r.inj.Hook())
 	if spec.TrialHook != nil {
@@ -684,76 +665,26 @@ func (r *trialRunner) runWithSite(ctx context.Context, idx int, site fault.Site)
 			m.RegisterHook(h)
 		}
 	}
-	armWatchdog := func() {
-		if spec.TrialTimeout > 0 || ctx.Done() != nil {
-			m.RegisterHook(newWatchdog(ctx, spec.TrialTimeout).hook)
-		}
+	r.armProtection(resume)
+	if spec.TrialTimeout > 0 || ctx.Done() != nil {
+		m.RegisterHook(newWatchdog(ctx, spec.TrialTimeout).hook)
 	}
 
 	var out []int
 	if cp != nil {
-		// Forked trial: protection counters resume from their values at the
-		// checkpoint, the token prefix comes from the recorded fault-free
+		// Forked trial: the token prefix comes from the recorded fault-free
 		// protected generation, and only steps NextStep.. are re-executed.
-		fi := &r.forks.inputs[inputIdx]
-		switch {
-		case r.hy != nil:
-			r.hy.ResumeFork(core.ForkState{Bounds: fi.ftBounds, FirstTokenNaN: cp.ftNaN, Stats: cp.corr})
-			r.hy.Install()
-		case r.dmr != nil:
-			r.dmr.Detected = cp.corr.OutOfBound
-			m.RegisterHook(r.dmr.Hook())
-		case r.prot != nil:
-			r.prot.Stats = cp.corr
-			m.RegisterHook(r.prot.Hook())
-		case r.ft2 != nil:
-			r.ft2.ResumeFork(core.ForkState{Bounds: fi.ftBounds, FirstTokenNaN: cp.ftNaN, Stats: cp.corr})
-			r.ft2.Install()
-		}
-		armWatchdog()
-		out = append(r.outBuf[:0], fi.out[:cp.snap.NextStep()]...)
+		out = append(r.outBuf[:0], r.forks.inputs[inputIdx].out[:cp.snap.NextStep()]...)
 		tok := m.Restore(&cp.snap)
 		for s := cp.snap.NextStep(); s < spec.Dataset.GenTokens; s++ {
 			tok = m.DecodeStep(tok)
 			out = append(out, tok)
 		}
 	} else {
-		switch {
-		case r.hy != nil:
-			r.hy.Reset()
-			r.hy.Install()
-		case r.dmr != nil:
-			r.dmr.Detected = 0
-			m.RegisterHook(r.dmr.Hook())
-		case r.prot != nil:
-			r.prot.Stats = protect.CorrectionStats{}
-			m.RegisterHook(r.prot.Hook())
-		case r.ft2 != nil:
-			r.ft2.Reset()
-			r.ft2.Install()
-		}
-		armWatchdog()
 		out = m.GenerateInto(r.outBuf, input.Prompt, spec.Dataset.GenTokens)
 	}
 
-	var corr protect.CorrectionStats
-	switch {
-	case r.hy != nil:
-		corr = r.hy.Stats()
-		corr.NaN += r.hy.FirstTokenNaNCount()
-		// Fold the exact-correction tiers in as events (detections + DMR
-		// fixes), keeping the journal's OOB/NaN schema unchanged.
-		hc := r.hy.DrainCounts()
-		corr.OutOfBound += int(hc.ABFT.Detected + hc.DMRFixed)
-	case r.dmr != nil:
-		corr.OutOfBound = r.dmr.Detected
-	case r.prot != nil:
-		corr = r.prot.Stats
-	case r.ft2 != nil:
-		corr = r.ft2.Stats()
-		corr.NaN += r.ft2.FirstTokenNaNCount()
-	}
-
+	corr := r.prot.drain()
 	if !r.inj.Fired {
 		return trialOutcome{}, &TrialError{Trial: idx, Kind: TrialInjectorNeverFired,
 			Err: fmt.Errorf("injector never fired at %v", site)}
@@ -763,6 +694,14 @@ func (r *trialRunner) runWithSite(ctx context.Context, idx int, site fault.Site)
 		sdc:  !spec.Dataset.IsMasked(r.golden[input.ID], out),
 		corr: corr,
 	}, nil
+}
+
+// armProtection rearms the runner's protection (see protection.arm) and
+// registers its hook.
+func (r *trialRunner) armProtection(st core.ForkState) {
+	if h := r.prot.arm(st); h != nil {
+		r.m.RegisterHook(h)
+	}
 }
 
 // FaultFreeCorrectness measures, without any fault injection, the fraction
@@ -778,32 +717,18 @@ func FaultFreeCorrectness(cfg model.Config, seed int64, d numerics.DType,
 	if err != nil {
 		return stats.Proportion{}, protect.CorrectionStats{}, err
 	}
+	prot := newProtection(Spec{Method: method, ModelCfg: cfg, OfflineBounds: bounds, FT2Opts: core.Defaults()}, m, mode)
 	var p stats.Proportion
 	var corr protect.CorrectionStats
 	for _, in := range ds.Inputs {
-		m.ClearHooks()
 		golden := m.Generate(in.Prompt, ds.GenTokens)
-
-		var out []int
-		switch method {
-		case arch.MethodNone:
-			out = golden
-		case arch.MethodFT2:
-			f := core.Attach(m, core.Defaults())
-			out = f.Generate(in.Prompt, ds.GenTokens)
-			st := f.Stats()
-			corr.OutOfBound += st.OutOfBound
-			corr.NaN += st.NaN
-			f.Detach()
-		default:
-			pr := protect.ForMethod(method, cfg.Family, bounds)
-			pr.Mode = mode
-			m.RegisterHook(pr.Hook())
-			out = m.Generate(in.Prompt, ds.GenTokens)
-			corr.OutOfBound += pr.Stats.OutOfBound
-			corr.NaN += pr.Stats.NaN
-			m.ClearHooks()
+		out := golden
+		if h := prot.arm(core.ForkState{}); h != nil {
+			out = m.Generate(in.Prompt, ds.GenTokens, h)
 		}
+		st := prot.state().Stats
+		corr.OutOfBound += st.OutOfBound
+		corr.NaN += st.NaN
 		p.Trials++
 		if ds.IsMasked(golden, out) {
 			p.Successes++

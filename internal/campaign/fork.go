@@ -4,8 +4,8 @@ import (
 	"context"
 	"math"
 
+	"ft2/internal/core"
 	"ft2/internal/model"
-	"ft2/internal/protect"
 )
 
 // Golden-checkpoint forking.
@@ -24,19 +24,16 @@ import (
 // phenomenon), so the fault-free protected trajectory — tokens and
 // correction counters — is what a trial's prefix actually computes. Each
 // forkPoint carries the protection-side counters alongside the model
-// snapshot, and FT2's first-token bounds (fixed after the prefill) are
-// captured once per input and shared read-only across workers.
+// snapshot, with FT2's first-token bounds (fixed after the prefill) copied
+// into it and shared read-only across workers.
 
 // forkPoint is one restorable checkpoint of an input's fault-free protected
 // generation: the model state before step snap.NextStep() plus the
-// protection counters accumulated over steps 0..NextStep-1.
+// protection state (counters accumulated over steps 0..NextStep-1, and
+// FT2's first-token bounds) a forked trial resumes.
 type forkPoint struct {
 	snap model.Snapshot
-	// corr holds the method's correction counters at the checkpoint: the
-	// protector/DMR stats, or FT2's following-token stats (first-token NaN
-	// corrections are tracked separately in ftNaN).
-	corr  protect.CorrectionStats
-	ftNaN int
+	st   core.ForkState
 }
 
 // inputFork holds the fork state of one dataset input.
@@ -47,10 +44,6 @@ type inputFork struct {
 	// points are the checkpoints in ascending NextStep order, at steps
 	// 1, 1+stride, 1+2·stride, ...
 	points []forkPoint
-	// ftBounds are FT2's raw first-token bounds for this input (nil for
-	// other methods); decode steps only read them, so the store is shared
-	// across worker replicas.
-	ftBounds *protect.Store
 }
 
 // forkStore is the per-campaign, read-only golden checkpoint store built
@@ -122,52 +115,17 @@ func buildForkStore(ctx context.Context, spec Spec) (*forkStore, error) {
 		m.ClearHooks()
 		// Arm the protection exactly as a trial does (minus the injector,
 		// the per-trial hook, and the watchdog — none of which belong in
-		// the fault-free reference run).
-		readCorr := func() (protect.CorrectionStats, int) { return protect.CorrectionStats{}, 0 }
-		switch {
-		case r.hy != nil:
-			// Checkpoints carry the FT2 tier's counters only: the ABFT/DMR
-			// tiers are per-step exact corrections whose counts are drained
-			// per trial, not resumed state.
-			r.hy.Reset()
-			r.hy.Install()
-			readCorr = func() (protect.CorrectionStats, int) {
-				return r.hy.Stats(), r.hy.FirstTokenNaNCount()
-			}
-		case r.dmr != nil:
-			r.dmr.Detected = 0
-			m.RegisterHook(r.dmr.Hook())
-			readCorr = func() (protect.CorrectionStats, int) {
-				return protect.CorrectionStats{OutOfBound: r.dmr.Detected}, 0
-			}
-		case r.prot != nil:
-			r.prot.Stats = protect.CorrectionStats{}
-			m.RegisterHook(r.prot.Hook())
-			readCorr = func() (protect.CorrectionStats, int) { return r.prot.Stats, 0 }
-		case r.ft2 != nil:
-			r.ft2.Reset()
-			r.ft2.Install()
-			readCorr = func() (protect.CorrectionStats, int) {
-				return r.ft2.Stats(), r.ft2.FirstTokenNaNCount()
-			}
-		}
-
+		// the fault-free reference run). Checkpoints carry the resumable
+		// counters only: a hybrid's ABFT/DMR tiers are per-step exact
+		// corrections whose counts are drained per trial.
+		r.armProtection(core.ForkState{})
 		f := inputFork{out: make([]int, 0, n)}
 		tok := m.Prefill(in.Prompt)
 		f.out = append(f.out, tok)
-		switch {
-		case r.ft2 != nil:
-			// Bounds are complete once the prefill finished; clone them out
-			// of the controller so later inputs' Resets cannot clear them.
-			f.ftBounds = r.ft2.CaptureForkState().Bounds
-		case r.hy != nil:
-			f.ftBounds = r.hy.CaptureForkState().Bounds
-		}
 		for s := 1; s < n; s++ {
 			if (s-1)%fs.stride == 0 {
-				var p forkPoint
+				p := forkPoint{st: r.prot.state()}
 				m.Checkpoint(&p.snap)
-				p.corr, p.ftNaN = readCorr()
 				f.points = append(f.points, p)
 			}
 			tok = m.DecodeStep(tok)

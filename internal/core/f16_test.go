@@ -9,9 +9,9 @@ import (
 	"ft2/internal/tensor"
 )
 
-// f16ProtectedTokens builds a fresh model with packed-f16 weights, attaches
-// FT2, optionally injects a fault, and generates with the given streaming
-// mode.
+// f16ProtectedTokens builds a fresh model with packed-f16 weights and an FT2
+// controller, optionally registers a fault injector, and generates with the
+// given streaming mode.
 func f16ProtectedTokens(t *testing.T, name string, stream bool, inject bool) []int {
 	t.Helper()
 	prev := tensor.SetF16Streaming(stream)
@@ -23,8 +23,7 @@ func f16ProtectedTokens(t *testing.T, name string, stream bool, inject bool) []i
 	}
 	m := model.MustNew(cfg, 42, numerics.FP16)
 	m.EnableF16Weights()
-	f := Attach(m, Defaults())
-	defer f.Detach()
+	f := New(m, Defaults())
 	if inject {
 		inj := fault.NewInjector(fault.Site{
 			Step:  3,
@@ -32,8 +31,7 @@ func f16ProtectedTokens(t *testing.T, name string, stream bool, inject bool) []i
 			Elem:  7,
 			Bits:  []int{14}, // exponent bit in FP16: a magnitude fault FT2 clips
 		}, numerics.FP16)
-		h := m.RegisterHook(inj.Hook())
-		defer m.RemoveHook(h)
+		m.RegisterHook(inj.Hook()) // runs before FT2's call-scoped hook
 	}
 	return f.Generate([]int{4, 9, 14, 19, 24}, 12)
 }

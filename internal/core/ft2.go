@@ -46,8 +46,11 @@ func Defaults() Options {
 	}
 }
 
-// FT2 is an online protector attached to a model. Use Generate (not the
-// model's) so per-inference bounds reset correctly.
+// FT2 is an online protector for a model. Its Generate runs a protected
+// inference: bounds reset, then the model generates with FT2's hook for that
+// call. Callers that interleave FT2 with other hooks (the campaign puts the
+// fault injector first, the serving scheduler runs one controller per
+// batched session) drive the hook themselves via Hook.
 type FT2 struct {
 	m    *model.Model
 	opts Options
@@ -63,14 +66,14 @@ type FT2 struct {
 	// layer exports. Fixed-size array: updating it on the hook hot path
 	// never allocates.
 	byKind [model.NumLayerKinds]protect.CorrectionStats
-	handle model.HookHandle
 	cover  map[arch.CoveragePoint]bool
+	// hooks is the one-element call-scoped hook list Generate passes.
+	hooks []model.Hook
 }
 
-// New builds an FT2 controller for the model without registering its hook;
-// callers that interleave FT2 with other hooks (the campaign runner puts
-// the fault injector first) register it with Install. The controller is
-// reusable across inferences — Reset or ResumeFork rearm it.
+// New builds an FT2 controller for the model; nothing is registered on the
+// model. The controller is reusable across inferences — Reset or ResumeFork
+// rearm it.
 func New(m *model.Model, opts Options) *FT2 {
 	if opts.ScaleFactor < 1 {
 		panic(fmt.Sprintf("core: scale factor %g < 1 would tighten bounds", opts.ScaleFactor))
@@ -82,6 +85,7 @@ func New(m *model.Model, opts Options) *FT2 {
 		cover: arch.Coverage(arch.MethodFT2, m.Cfg.Family),
 	}
 	f.bounds = f.prof.Store
+	f.hooks = []model.Hook{f.hook}
 	if opts.ProtectAllLayers {
 		f.cover = make(map[arch.CoveragePoint]bool)
 		for _, k := range m.Cfg.Family.LayerKinds() {
@@ -105,26 +109,12 @@ func NewWithKinds(m *model.Model, opts Options, kinds ...model.LayerKind) *FT2 {
 	return f
 }
 
-// Attach is New followed by Install: it registers FT2's forward hook on the
-// model and returns the controller. Call Detach to remove it.
-func Attach(m *model.Model, opts Options) *FT2 {
-	f := New(m, opts)
-	f.Install()
-	return f
-}
-
-// Install registers FT2's forward hook on the model (after any hooks the
-// caller registered first).
-func (f *FT2) Install() { f.handle = f.m.RegisterHook(f.hook) }
-
-// Hook returns the controller's forward hook without registering it, for
-// per-session installation in batched decode (model.BatchItem.Hooks): each
-// session's controller observes and corrects only that session's rows while
-// every controller shares the same read-only bounds store.
-func (f *FT2) Hook() model.Hook { return f.hook }
-
-// Detach removes FT2's hook from the model.
-func (f *FT2) Detach() { f.m.RemoveHook(f.handle) }
+// Hook returns the controller's forward hook, for callers that place it
+// themselves: after an injector with RegisterHook, or per session in batched
+// decode (model.BatchItem.Hooks), where each session's controller observes
+// and corrects only that session's rows while every controller shares the
+// same read-only bounds store.
+func (f *FT2) Hook() model.Hook { return f.hooks[0] }
 
 // Reset rearms the controller for a fresh full inference: per-inference
 // bounds and correction counters clear, and the hook profiles the next
@@ -174,9 +164,13 @@ func (f *FT2) ResumeFork(st ForkState) {
 	f.byKind = st.ByKind
 }
 
-// Stats returns the corrections applied since attach (following tokens
-// only; first-token NaN corrections are reported by FirstTokenNaNCount).
+// Stats returns the following-token corrections since the last Reset;
+// first-token NaN corrections are reported by FirstTokenNaNCount.
 func (f *FT2) Stats() protect.CorrectionStats { return f.stats }
+
+// DrainCounts returns zero counts: FT2 has no exact-correction tiers (see
+// Hybrid.DrainCounts).
+func (f *FT2) DrainCounts() HybridCounts { return HybridCounts{} }
 
 // StatsByKind breaks the following-token corrections down by the layer kind
 // they fired on, indexed by model.LayerKind.
@@ -206,30 +200,18 @@ func (f *FT2) ProtectedSiteCount() int {
 }
 
 // Generate runs a protected inference: bounds reset, first token profiled,
-// following tokens range-restricted. The hook must be registered on the
-// model (Attach, or New followed by Install); Generate panics otherwise,
-// since the run would silently go unprotected.
+// following tokens range-restricted. FT2's hook runs for this call only,
+// after any hooks registered on the model.
 func (f *FT2) Generate(prompt []int, n int) []int {
-	mustBeInstalled(f.m, f.handle, "FT2")
-	f.Reset()
-	return f.m.Generate(prompt, n)
+	return f.GenerateInto(make([]int, 0, n), prompt, n)
 }
 
 // GenerateInto is Generate writing the decoded tokens into dst[:0]; with a
 // reused dst the protected steady-state generation is allocation-free (the
 // bounds store clears in place, see protect.Store.Reset).
 func (f *FT2) GenerateInto(dst []int, prompt []int, n int) []int {
-	mustBeInstalled(f.m, f.handle, "FT2")
 	f.Reset()
-	return f.m.GenerateInto(dst, prompt, n)
-}
-
-// mustBeInstalled panics when a controller's Generate runs without its hook
-// registered on the model.
-func mustBeInstalled(m *model.Model, h model.HookHandle, name string) {
-	if !m.HookRegistered(h) {
-		panic("core: " + name + ".Generate without its hook registered on the model (call Install first)")
-	}
+	return f.m.GenerateInto(dst, prompt, n, f.hooks...)
 }
 
 func (f *FT2) hook(ctx model.HookCtx, out *tensor.Tensor) {

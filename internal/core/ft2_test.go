@@ -32,7 +32,7 @@ func TestAttachRejectsBadScale(t *testing.T) {
 			t.Error("scale < 1 must panic")
 		}
 	}()
-	Attach(m, Options{ScaleFactor: 0.5})
+	New(m, Options{ScaleFactor: 0.5})
 }
 
 func TestFT2FaultFreeTransparency(t *testing.T) {
@@ -42,9 +42,8 @@ func TestFT2FaultFreeTransparency(t *testing.T) {
 		prompt := []int{4, 9, 14, 19, 24}
 		clean := m.Generate(prompt, 12)
 
-		f := Attach(m, Defaults())
+		f := New(m, Defaults())
 		protected := f.Generate(prompt, 12)
-		f.Detach()
 		for i := range clean {
 			if clean[i] != protected[i] {
 				t.Errorf("%s: FT2 changed a fault-free generation at %d: %v vs %v", name, i, clean, protected)
@@ -56,8 +55,7 @@ func TestFT2FaultFreeTransparency(t *testing.T) {
 
 func TestFT2CapturesBoundsDuringFirstToken(t *testing.T) {
 	m := testModel(t, "llama2-7b-sim")
-	f := Attach(m, Defaults())
-	defer f.Detach()
+	f := New(m, Defaults())
 	f.Generate([]int{4, 5, 6, 7}, 6)
 	// Llama family: 4 critical kinds per block.
 	want := m.Cfg.Blocks * 4
@@ -71,8 +69,7 @@ func TestFT2CapturesBoundsDuringFirstToken(t *testing.T) {
 
 func TestFT2BoundsResetPerInference(t *testing.T) {
 	m := testModel(t, "opt-2.7b-sim")
-	f := Attach(m, Defaults())
-	defer f.Detach()
+	f := New(m, Defaults())
 	f.Generate([]int{4, 5, 6}, 4)
 	k := protect.SiteKey{Layer: model.LayerRef{Block: 0, Kind: model.VProj}, Site: model.SiteLinearOut}
 	b1, ok1 := f.Bounds().Get(k)
@@ -92,17 +89,16 @@ func TestFT2CorrectsInjectedFault(t *testing.T) {
 	clean := m.Generate(prompt, 10)
 
 	// Injector: huge value in a critical layer during a following token.
-	inject := m.RegisterHook(func(ctx model.HookCtx, out *tensor.Tensor) {
+	m.RegisterHook(func(ctx model.HookCtx, out *tensor.Tensor) {
 		if ctx.Layer == (model.LayerRef{Block: 2, Kind: model.OutProj}) && ctx.Step == 1 && ctx.Site == model.SiteLinearOut {
 			out.Data[0] = 48000
 		}
 	})
 	corrupted := m.Generate(prompt, 10)
 
-	f := Attach(m, Defaults()) // protector runs after the injector
+	f := New(m, Defaults()) // its hook runs after the registered injector
 	protected := f.Generate(prompt, 10)
-	f.Detach()
-	m.RemoveHook(inject)
+	m.ClearHooks()
 
 	diff := func(a, b []int) bool {
 		for i := range a {
@@ -130,18 +126,17 @@ func TestFT2CorrectsNaNDuringFirstToken(t *testing.T) {
 
 	nan := float32(0)
 	nan /= nan // quiet NaN without importing math
-	inject := m.RegisterHook(func(ctx model.HookCtx, out *tensor.Tensor) {
+	m.RegisterHook(func(ctx model.HookCtx, out *tensor.Tensor) {
 		if ctx.Layer == (model.LayerRef{Block: 1, Kind: model.FC2}) && ctx.Step == 0 && ctx.Site == model.SiteLinearOut {
 			out.Data[3] = nan
 		}
 	})
-	f := Attach(m, Defaults())
+	f := New(m, Defaults())
 	protected := f.Generate(prompt, 8)
 	if f.FirstTokenNaNCount() == 0 {
 		t.Error("FT2 should have corrected the first-token NaN")
 	}
-	f.Detach()
-	m.RemoveHook(inject)
+	m.ClearHooks()
 
 	same := true
 	for i := range clean {
@@ -158,8 +153,7 @@ func TestFT2AllLayerCoverage(t *testing.T) {
 	m := testModel(t, "opt-2.7b-sim")
 	opts := Defaults()
 	opts.ProtectAllLayers = true
-	f := Attach(m, opts)
-	defer f.Detach()
+	f := New(m, opts)
 	want := len(m.Cfg.LinearLayers())
 	if f.ProtectedSiteCount() != want {
 		t.Errorf("all-layer coverage = %d sites, want %d", f.ProtectedSiteCount(), want)
@@ -172,8 +166,7 @@ func TestFT2AllLayerCoverage(t *testing.T) {
 
 func TestFT2MemoryOverheadBytes(t *testing.T) {
 	m := testModel(t, "llama2-7b-sim")
-	f := Attach(m, Defaults())
-	defer f.Detach()
+	f := New(m, Defaults())
 	f.Generate([]int{4, 5, 6}, 4)
 	bytes := f.Bounds().MemoryBytes(numerics.FP16)
 	// 16 protected layers × 2 values × 2 bytes = 64 bytes on the scaled-down
@@ -195,8 +188,7 @@ func TestFT2ScaleFactorWidensEffectiveBounds(t *testing.T) {
 	corrections := func(scale float32) int {
 		opts := Defaults()
 		opts.ScaleFactor = scale
-		f := Attach(m, opts)
-		defer f.Detach()
+		f := New(m, opts)
 		f.Generate(prompt, 24)
 		return f.Stats().Total()
 	}
@@ -213,8 +205,7 @@ func TestFT2ClipModeZeroStillProtects(t *testing.T) {
 	m := testModel(t, "opt-6.7b-sim")
 	opts := Defaults()
 	opts.Mode = protect.ClipToZero
-	f := Attach(m, opts)
-	defer f.Detach()
+	f := New(m, opts)
 	out := f.Generate([]int{4, 5, 6, 7}, 10)
 	if len(out) != 10 {
 		t.Fatal("generation failed under clip-to-zero")

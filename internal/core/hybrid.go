@@ -10,27 +10,40 @@ import (
 // Hybrid drives an adaptive per-layer-kind protection policy on one model:
 // each layer kind gets the tier its vulnerability profile earned —
 // FT2 range restriction, ABFT checksum verify-and-repair, DMR duplicated
-// execution, a stacked abft+ft2, or nothing. One dispatching forward hook
-// runs the exact-correction tiers (ABFT, DMR) first and the FT2 clamp last,
-// so recomputation repairs transient faults precisely and the clamp still
-// bounds whatever persistent weight/KV corruption leaves behind.
+// execution, a stacked abft+ft2, or nothing. The exact-correction tiers
+// (ABFT, DMR) run first and the FT2 clamp last, so recomputation repairs
+// transient faults precisely and the clamp still bounds whatever persistent
+// weight/KV corruption leaves behind.
 //
-// Hybrid presents the same controller surface as FT2 (Install / Hook /
-// Reset / fork-state round-tripping), so the serving scheduler can park and
-// resume policy-protected sessions exactly like FT2-protected ones. The
-// fork state is the FT2 portion — the checker and DMR tiers are stateless
-// per step apart from their counters, which DrainCounts hands to the owner.
+// Hybrid is a Controller like FT2. Its fork state is the FT2 portion — the
+// checker and DMR tiers are stateless per step apart from their counters,
+// which DrainCounts hands to the owner.
 type Hybrid struct {
 	m      *model.Model
 	policy *protect.Policy
 	ft2    *FT2
 	chk    *abft.LinearChecker
 	dmr    *protect.DMR
-	handle model.HookHandle
+	// tiers are the tier hooks in that order: Generate passes them as its
+	// call-scoped hooks, and Hook dispatches to them.
+	tiers []model.Hook
+}
 
-	chkHook model.Hook
-	dmrHook model.Hook
-	ft2Hook model.Hook
+// Controller is the surface FT2 and Hybrid share, so the serving scheduler
+// parks and resumes policy-protected sessions exactly like FT2-protected
+// ones and the campaign resumes either at its checkpoints: protected
+// generation, the forward hook for callers that place it themselves, the
+// ForkState round trip, and the counters.
+type Controller interface {
+	Generate(prompt []int, n int) []int
+	Hook() model.Hook
+	Reset()
+	ResumeFork(ForkState)
+	CaptureForkState() ForkState
+	Stats() protect.CorrectionStats
+	StatsByKind() [model.NumLayerKinds]protect.CorrectionStats
+	FirstTokenNaNCount() int
+	DrainCounts() HybridCounts
 }
 
 // HybridCounts is the since-last-drain telemetry of the exact-correction
@@ -42,38 +55,31 @@ type HybridCounts struct {
 
 // NewHybrid builds a policy-driven controller. refs carries the build-time
 // ABFT reference sums; pass nil to capture them from m now (the model must
-// still be pristine). Like New, the hook is not yet registered — use Install
-// or Hook.
+// still be pristine). Like New, nothing is registered on the model.
 func NewHybrid(m *model.Model, opts Options, policy *protect.Policy, refs *abft.RefSums) *Hybrid {
 	h := &Hybrid{m: m, policy: policy}
 	h.ft2 = NewWithKinds(m, opts, policy.Kinds(protect.TierFT2, protect.TierABFTFT2)...)
-	h.ft2Hook = h.ft2.Hook()
 	if abftKinds := policy.Kinds(protect.TierABFT, protect.TierABFTFT2); len(abftKinds) > 0 {
 		if refs == nil {
 			refs = abft.CaptureRefSums(m, abftKinds...)
 		}
 		h.chk = abft.NewLinearChecker(m, refs, abftKinds...)
-		h.chkHook = h.chk.Hook()
+		h.tiers = append(h.tiers, h.chk.Hook())
 	}
 	if dmrKinds := policy.Kinds(protect.TierDMR); len(dmrKinds) > 0 {
 		h.dmr = protect.NewDMR(m, dmrKinds...)
-		h.dmrHook = h.dmr.Hook()
+		h.tiers = append(h.tiers, h.dmr.Hook())
 	}
+	h.tiers = append(h.tiers, h.ft2.Hook())
 	return h
 }
 
 // Policy returns the policy the controller enforces.
 func (h *Hybrid) Policy() *protect.Policy { return h.policy }
 
-// Hook returns the dispatching forward hook without registering it, for
-// per-session installation in batched decode.
+// Hook returns the dispatching forward hook, for callers that place it
+// themselves (see FT2.Hook).
 func (h *Hybrid) Hook() model.Hook { return h.hook }
-
-// Install registers the hook on the model; Detach removes it.
-func (h *Hybrid) Install() { h.handle = h.m.RegisterHook(h.hook) }
-
-// Detach removes the hook from the model.
-func (h *Hybrid) Detach() { h.m.RemoveHook(h.handle) }
 
 // Reset rearms the FT2 tier for a fresh inference. The checker/DMR counters
 // survive (they are lifetime telemetry, collected via DrainCounts).
@@ -112,30 +118,21 @@ func (h *Hybrid) DrainCounts() HybridCounts {
 	return c
 }
 
-// Generate runs a policy-protected inference. The hook must be installed;
-// Generate panics otherwise, since the run would silently go unprotected.
+// Generate runs a policy-protected inference; the hook runs for this call
+// only, after any hooks registered on the model.
 func (h *Hybrid) Generate(prompt []int, n int) []int {
-	mustBeInstalled(h.m, h.handle, "Hybrid")
-	h.Reset()
-	return h.m.Generate(prompt, n)
+	return h.GenerateInto(make([]int, 0, n), prompt, n)
 }
 
 // GenerateInto is Generate writing tokens into dst[:0].
 func (h *Hybrid) GenerateInto(dst []int, prompt []int, n int) []int {
-	mustBeInstalled(h.m, h.handle, "Hybrid")
 	h.Reset()
-	return h.m.GenerateInto(dst, prompt, n)
+	return h.m.GenerateInto(dst, prompt, n, h.tiers...)
 }
 
-// hook dispatches to the tiers in correction order: checksum repair and
-// duplicated execution first (exact fixes), range restriction last (bounds
-// whatever remains).
+// hook runs the tiers in order.
 func (h *Hybrid) hook(ctx model.HookCtx, out *tensor.Tensor) {
-	if h.chkHook != nil {
-		h.chkHook(ctx, out)
+	for _, t := range h.tiers {
+		t(ctx, out)
 	}
-	if h.dmrHook != nil {
-		h.dmrHook(ctx, out)
-	}
-	h.ft2Hook(ctx, out)
 }

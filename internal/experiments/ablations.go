@@ -70,8 +70,7 @@ func coverageCost(p Params, all bool) (int, float64, error) {
 	}
 	opts := core.Defaults()
 	opts.ProtectAllLayers = all
-	f := core.Attach(m, opts)
-	defer f.Detach()
+	f := core.New(m, opts)
 	f.Generate(ds.Inputs[0].Prompt, ds.GenTokens) // warm-up
 	reps := 5
 	start := time.Now()

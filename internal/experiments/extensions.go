@@ -37,9 +37,8 @@ func ExtensionDMR(ctx context.Context, p Params) (*report.Table, error) {
 	if err != nil {
 		return partialOnCancel(t, err)
 	}
-	ft2MS, err := genCost(p, modelName, dsName, func(m *model.Model) func() {
-		f := core.Attach(m, core.Defaults())
-		return f.Detach
+	ft2MS, err := genCost(p, modelName, dsName, func(m *model.Model) model.Hook {
+		return core.New(m, core.Defaults()).Hook()
 	})
 	if err != nil {
 		return nil, err
@@ -51,10 +50,8 @@ func ExtensionDMR(ctx context.Context, p Params) (*report.Table, error) {
 	if err != nil {
 		return partialOnCancel(t, err)
 	}
-	dmrMS, err := genCost(p, modelName, dsName, func(m *model.Model) func() {
-		d := protect.NewDMR(m)
-		h := m.RegisterHook(d.Hook())
-		return func() { m.RemoveHook(h) }
+	dmrMS, err := genCost(p, modelName, dsName, func(m *model.Model) model.Hook {
+		return protect.NewDMR(m).Hook()
 	})
 	if err != nil {
 		return nil, err
@@ -64,8 +61,9 @@ func ExtensionDMR(ctx context.Context, p Params) (*report.Table, error) {
 	return t, nil
 }
 
-// genCost measures ms per generation with an optional hook installer.
-func genCost(p Params, modelName, dsName string, install func(*model.Model) func()) (float64, error) {
+// genCost measures ms per generation, with the hook hookFor builds on the
+// model running in every generation when hookFor is non-nil.
+func genCost(p Params, modelName, dsName string, hookFor func(*model.Model) model.Hook) (float64, error) {
 	cfg, err := model.ConfigByName(modelName)
 	if err != nil {
 		return 0, err
@@ -78,16 +76,16 @@ func genCost(p Params, modelName, dsName string, install func(*model.Model) func
 	if err != nil {
 		return 0, err
 	}
-	if install != nil {
-		cleanup := install(m)
-		defer cleanup()
+	var hooks []model.Hook
+	if hookFor != nil {
+		hooks = append(hooks, hookFor(m))
 	}
 	prompt := ds.Inputs[0].Prompt
-	m.Generate(prompt, ds.GenTokens) // warm-up
+	m.Generate(prompt, ds.GenTokens, hooks...) // warm-up
 	reps := 5
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		m.Generate(prompt, ds.GenTokens)
+		m.Generate(prompt, ds.GenTokens, hooks...)
 	}
 	return time.Since(start).Seconds() * 1000 / float64(reps), nil
 }

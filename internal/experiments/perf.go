@@ -102,7 +102,7 @@ func Fig14(ctx context.Context, p Params) (*report.Table, error) {
 		}
 		base := time.Since(start)
 
-		f := core.Attach(m, core.Defaults())
+		f := core.New(m, core.Defaults())
 		f.Generate(prompt, ds.GenTokens)
 		start = time.Now()
 		for i := 0; i < reps; i++ {
@@ -111,7 +111,6 @@ func Fig14(ctx context.Context, p Params) (*report.Table, error) {
 		prot := time.Since(start)
 		layers := f.ProtectedSiteCount()
 		bytes := f.Bounds().MemoryBytes(numerics.FP16)
-		f.Detach()
 
 		overhead := (prot.Seconds() - base.Seconds()) / base.Seconds() * 100
 		t.AddRow(cfg.Name,

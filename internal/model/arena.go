@@ -40,6 +40,9 @@ type arena struct {
 	// one-item forward allocates nothing.
 	one    [1]BatchItem
 	oneTok [1]int
+	// callHooks holds the registered plus call-scoped hooks of a
+	// GenerateInto with hooks, reused across calls.
+	callHooks []Hook
 
 	// Fused mixed-phase batch layout (ForwardBatch): per-item first fused
 	// row, row count, absolute start position, pre-append KV row count for

@@ -18,15 +18,13 @@ func TestCausalMaskProperty(t *testing.T) {
 
 		capture := func(prompt []int) map[LayerRef][]float32 {
 			out := make(map[LayerRef][]float32)
-			h := m.RegisterHook(func(ctx HookCtx, tens *tensor.Tensor) {
+			m.Generate(prompt, 1, func(ctx HookCtx, tens *tensor.Tensor) {
 				if ctx.Step != 0 || ctx.Site != SiteLinearOut {
 					return
 				}
 				// Keep the first row (position 0) of every layer output.
 				out[ctx.Layer] = append([]float32(nil), tens.Row(0)...)
 			})
-			m.Generate(prompt, 1)
-			m.RemoveHook(h)
 			return out
 		}
 

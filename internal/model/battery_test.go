@@ -44,7 +44,7 @@ func TestReferenceBattery(t *testing.T) {
 				donor := model.MustNew(cfg, 42, dt)
 				donorCtl := newController(donor, prot)
 				if donorCtl != nil {
-					donorCtl.Install()
+					donor.RegisterHook(donorCtl.Hook())
 				}
 				donor.BeginPrefill(len(prompt))
 				donor.PrefillChunk(prompt[:cached])
@@ -61,7 +61,7 @@ func TestReferenceBattery(t *testing.T) {
 					m := model.MustNew(cfg, 42, dt)
 					ctl := newController(m, prot)
 					if ctl != nil {
-						ctl.Install()
+						m.RegisterHook(ctl.Hook())
 						if mode == "cached" {
 							ctl.ResumeFork(partial)
 						}

@@ -124,15 +124,14 @@ func TestGoldenPin(t *testing.T) {
 		for _, dt := range []numerics.DType{numerics.FP16, numerics.FP32} {
 			for _, prot := range []string{"bare", "ft2", "hybrid"} {
 				m := model.MustNew(cfg, 42, dt)
-				gen := m.Generate
+				gen := func(p []int, n int) []int { return m.Generate(p, n) }
 				var ctl interface{ CaptureForkState() core.ForkState }
 				switch prot {
 				case "ft2":
-					f := core.Attach(m, core.Defaults())
+					f := core.New(m, core.Defaults())
 					gen, ctl = f.Generate, f
 				case "hybrid":
 					h := core.NewHybrid(m, core.Defaults(), goldenPolicy(), nil)
-					h.Install()
 					gen, ctl = h.Generate, h
 				}
 				for _, pn := range []string{"p16", "p80"} {

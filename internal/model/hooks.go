@@ -45,50 +45,17 @@ type HookCtx struct {
 // output neuron.
 type Hook func(ctx HookCtx, out *tensor.Tensor)
 
-// HookHandle identifies a registered hook for removal.
-type HookHandle int
-
 // RegisterHook appends a forward hook. Hooks run in registration order after
 // every linear layer's output has been computed and passed through the
 // precision gate — so an injector registered before a protector corrupts the
 // value first and the protector then gets a chance to detect it, exactly the
 // paper's fault/protection interleaving. Prefill, PrefillChunk and
 // DecodeStep pass the registered hooks, in order, as the Hooks of the one
-// BatchItem they run.
-func (m *Model) RegisterHook(h Hook) HookHandle {
-	m.nextHookID++
-	m.hooks = append(m.hooks, h)
-	m.hookIDs = append(m.hookIDs, HookHandle(m.nextHookID))
-	return HookHandle(m.nextHookID)
-}
-
-// RemoveHook unregisters a hook by handle; unknown handles are ignored.
-func (m *Model) RemoveHook(h HookHandle) {
-	for i, id := range m.hookIDs {
-		if id == h {
-			m.hooks = append(m.hooks[:i], m.hooks[i+1:]...)
-			m.hookIDs = append(m.hookIDs[:i], m.hookIDs[i+1:]...)
-			return
-		}
-	}
-}
-
-// HookRegistered reports whether the handle names a hook that is still
-// registered.
-func (m *Model) HookRegistered(h HookHandle) bool {
-	for _, id := range m.hookIDs {
-		if id == h {
-			return true
-		}
-	}
-	return false
-}
+// BatchItem they run; GenerateInto appends its call-scoped hooks after them.
+func (m *Model) RegisterHook(h Hook) { m.hooks = append(m.hooks, h) }
 
 // ClearHooks removes every registered hook.
-func (m *Model) ClearHooks() {
-	m.hooks = m.hooks[:0]
-	m.hookIDs = m.hookIDs[:0]
-}
+func (m *Model) ClearHooks() { m.hooks = m.hooks[:0] }
 
 // HookCount returns the number of registered hooks.
 func (m *Model) HookCount() int { return len(m.hooks) }

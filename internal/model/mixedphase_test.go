@@ -21,7 +21,6 @@ import (
 
 // controller is what the batteries need of core.FT2 and core.Hybrid.
 type controller interface {
-	Install()
 	Hook() model.Hook
 	Reset()
 	ResumeFork(core.ForkState)
@@ -155,7 +154,7 @@ func openDecoding(m *model.Model, s *mixedSession) {
 	s.st = m.NewDecodeState()
 	prev := m.SwapState(s.st)
 	if s.ctl != nil {
-		s.ctl.Install()
+		m.RegisterHook(s.ctl.Hook())
 	}
 	tok := m.Prefill(s.prompt)
 	m.ClearHooks()

@@ -61,12 +61,10 @@ type Model struct {
 	// binary16 storage (see weights.go).
 	weightsF16 bool
 
-	// hooks are the RegisterHook hooks in registration order, hookIDs their
-	// handles; the slice is handed as-is to the one-item forward of the
-	// single-session calls.
-	hooks      []Hook
-	hookIDs    []HookHandle
-	nextHookID int
+	// hooks are the RegisterHook hooks in registration order (plus, during
+	// a GenerateInto, its call-scoped ones); the slice is handed as-is to
+	// the one-item forward of the single-session calls.
+	hooks []Hook
 
 	// st is the active generation state (see DecodeState); swapped per
 	// session by the serving scheduler, lazily allocated on first Prefill.
@@ -480,17 +478,27 @@ func (m *Model) forwardOne(it BatchItem) int {
 // prefill pass; each following token is a single-row pass against the KV
 // cache. The returned slice is freshly allocated; campaign hot paths use
 // GenerateInto instead.
-func (m *Model) Generate(prompt []int, n int) []int {
-	return m.GenerateInto(make([]int, 0, n), prompt, n)
+func (m *Model) Generate(prompt []int, n int, hooks ...Hook) []int {
+	return m.GenerateInto(make([]int, 0, n), prompt, n, hooks...)
 }
 
 // GenerateInto is Generate writing the decoded tokens into dst[:0] (grown if
-// its capacity is short). With a caller-reused dst of capacity ≥ n the
-// steady-state generation performs zero heap allocations; the returned slice
-// aliases dst and is valid until the caller's next GenerateInto with it.
-func (m *Model) GenerateInto(dst []int, prompt []int, n int) []int {
+// its capacity is short). hooks are call-scoped: they run after the
+// RegisterHook hooks (so a registered injector fires before a protection
+// passed here) and are gone when the call returns, panics included. With a
+// caller-reused dst of capacity ≥ n the steady-state generation performs
+// zero heap allocations (the combined hook list lives in the scratch arena);
+// the returned slice aliases dst and is valid until the next such call.
+func (m *Model) GenerateInto(dst []int, prompt []int, n int, hooks ...Hook) []int {
 	if len(prompt)+n > m.Cfg.MaxSeq {
 		panic(fmt.Sprintf("model: prompt %d + generate %d exceeds max seq %d", len(prompt), n, m.Cfg.MaxSeq))
+	}
+	if len(hooks) > 0 {
+		m.ensureRuntime()
+		registered := m.hooks
+		m.scratch.callHooks = append(append(m.scratch.callHooks[:0], registered...), hooks...)
+		m.hooks = m.scratch.callHooks
+		defer func() { m.hooks = registered }()
 	}
 	dst = dst[:0]
 	tok := m.Prefill(prompt)

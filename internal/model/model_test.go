@@ -324,7 +324,7 @@ func TestHookMutationChangesOutput(t *testing.T) {
 	prompt := []int{1, 2, 3}
 	clean := m.Generate(prompt, 8)
 
-	h := m.RegisterHook(func(ctx HookCtx, out *tensor.Tensor) {
+	corrupted := m.Generate(prompt, 8, func(ctx HookCtx, out *tensor.Tensor) {
 		if ctx.Layer == (LayerRef{0, OutProj}) && ctx.Step == 0 && ctx.Site == SiteLinearOut {
 			// Corrupt the last row (the position that produces the first
 			// token) so the fault is on the readout path regardless of how
@@ -334,8 +334,6 @@ func TestHookMutationChangesOutput(t *testing.T) {
 			}
 		}
 	})
-	corrupted := m.Generate(prompt, 8)
-	m.RemoveHook(h)
 	restored := m.Generate(prompt, 8)
 
 	same := true
@@ -344,7 +342,7 @@ func TestHookMutationChangesOutput(t *testing.T) {
 			same = false
 		}
 		if clean[i] != restored[i] {
-			t.Fatal("RemoveHook did not restore clean behaviour")
+			t.Fatal("the call-scoped hook outlived its Generate")
 		}
 	}
 	if same {
@@ -352,20 +350,34 @@ func TestHookMutationChangesOutput(t *testing.T) {
 	}
 }
 
+// Call-scoped hooks run after the registered ones and are removed when
+// GenerateInto returns — panics included — leaving the registered list as
+// it was; ClearHooks empties it.
 func TestRemoveAndClearHooks(t *testing.T) {
 	m := MustNew(smallCfg(FamilyOPT), 1, numerics.FP16)
-	h1 := m.RegisterHook(func(HookCtx, *tensor.Tensor) {})
-	m.RegisterHook(func(HookCtx, *tensor.Tensor) {})
+	var order []string
+	m.RegisterHook(func(HookCtx, *tensor.Tensor) { order = append(order, "a") })
+	m.RegisterHook(func(HookCtx, *tensor.Tensor) { order = append(order, "b") })
 	if m.HookCount() != 2 {
 		t.Fatal("HookCount wrong")
 	}
-	m.RemoveHook(h1)
-	if m.HookCount() != 1 {
-		t.Fatal("RemoveHook failed")
+	m.Generate([]int{1, 2}, 1, func(HookCtx, *tensor.Tensor) { order = append(order, "c") })
+	if len(order) < 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
+		t.Fatalf("hook order %v, want registered a, b then call-scoped c", order[:min(3, len(order))])
 	}
-	m.RemoveHook(HookHandle(999)) // unknown: no-op
-	if m.HookCount() != 1 {
-		t.Fatal("unknown handle must be ignored")
+	if m.HookCount() != 2 {
+		t.Fatalf("HookCount %d after a call with hooks, want 2", m.HookCount())
+	}
+	func() {
+		defer func() { recover() }()
+		m.Generate([]int{1, 2}, 2, func(ctx HookCtx, _ *tensor.Tensor) {
+			if ctx.Step == 1 {
+				panic("hook failure")
+			}
+		})
+	}()
+	if m.HookCount() != 2 {
+		t.Fatalf("HookCount %d after a panicking call, want 2", m.HookCount())
 	}
 	m.ClearHooks()
 	if m.HookCount() != 0 {

@@ -15,12 +15,11 @@ import (
 // full generations so that every token step's activations contribute).
 func OfflineProfile(m *model.Model, prompts [][]int, genTokens int) *Store {
 	store := NewStore()
-	h := m.RegisterHook(func(ctx model.HookCtx, out *tensor.Tensor) {
+	observe := func(ctx model.HookCtx, out *tensor.Tensor) {
 		store.Observe(SiteKey{Layer: ctx.Layer, Site: ctx.Site}, out)
-	})
-	defer m.RemoveHook(h)
+	}
 	for _, p := range prompts {
-		m.Generate(p, genTokens)
+		m.Generate(p, genTokens, observe)
 	}
 	return store
 }

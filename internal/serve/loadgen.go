@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ft2/internal/core"
 	"ft2/internal/data"
 	"ft2/internal/model"
 )
@@ -142,17 +141,9 @@ func Oracle(cfg Config, prompt []int, maxTokens int, protected bool) ([]int, Cor
 	if !protected {
 		return m.Generate(prompt, maxTokens), Corrections{}, nil
 	}
-	// The oracle must run the exact protection the server applies: the
-	// policy-dispatching hybrid when a policy is loaded, plain FT2 otherwise.
-	var f controller
-	if cfg.ProtectPolicy != nil {
-		f = core.NewHybrid(m, cfg.FT2Opts, cfg.ProtectPolicy, nil)
-	} else {
-		f = core.New(m, cfg.FT2Opts)
-	}
-	f.Install()
-	f.Reset()
-	out := m.Generate(prompt, maxTokens)
+	// The oracle must run the exact protection the server applies.
+	f := newController(m, cfg.FT2Opts, cfg.ProtectPolicy, nil)
+	out := f.Generate(prompt, maxTokens)
 	corr := correctionsReport(f.Stats(), f.FirstTokenNaNCount(), f.StatsByKind())
 	return out, corr, nil
 }

@@ -8,20 +8,14 @@ import (
 	"ft2/internal/protect"
 )
 
-// controller abstracts the per-slot protection controller the scheduler
-// drives: plain FT2 when the server runs the architectural coverage, or the
-// policy-dispatching Hybrid when an adaptive protection policy is loaded.
-// Both round-trip per-session state through the same ForkState, so sessions
-// migrate between replicas identically either way.
-type controller interface {
-	Install()
-	Hook() model.Hook
-	Reset()
-	ResumeFork(core.ForkState)
-	CaptureForkState() core.ForkState
-	Stats() protect.CorrectionStats
-	StatsByKind() [model.NumLayerKinds]protect.CorrectionStats
-	FirstTokenNaNCount() int
+// newController builds the protection the server applies on m: the
+// policy-dispatching hybrid when a policy is loaded, plain FT2 otherwise.
+// refs nil captures the ABFT reference sums from m (which must be pristine).
+func newController(m *model.Model, opts core.Options, policy *protect.Policy, refs *abft.RefSums) core.Controller {
+	if policy != nil {
+		return core.NewHybrid(m, opts, policy, refs)
+	}
+	return core.New(m, opts)
 }
 
 // replica is one model instance plus its per-batch-slot protection
@@ -50,20 +44,15 @@ type replica struct {
 	// allocates nothing. Every controller resumes the session's own fork
 	// state at slice start, so counters stay per-session even though the
 	// controllers are replica-owned.
-	ctls     []controller
+	ctls     []core.Controller
 	hookSets [][]model.Hook
 }
 
 // controller returns the slot's protection controller, growing the set on
 // demand.
-func (r *replica) controller(slot int) controller {
+func (r *replica) controller(slot int) core.Controller {
 	for len(r.ctls) <= slot {
-		var c controller
-		if r.policy != nil {
-			c = core.NewHybrid(r.m, r.opts, r.policy, r.refs)
-		} else {
-			c = core.New(r.m, r.opts)
-		}
+		c := newController(r.m, r.opts, r.policy, r.refs)
 		r.ctls = append(r.ctls, c)
 		r.hookSets = append(r.hookSets, []model.Hook{c.Hook()})
 	}

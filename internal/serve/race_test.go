@@ -41,7 +41,7 @@ func TestSharedBoundsStoreConcurrent(t *testing.T) {
 	}
 	pf := core.New(profiler, core.Defaults())
 	pf.Reset()
-	pf.Install()
+	profiler.RegisterHook(pf.Hook())
 	profiler.Prefill(prompts(0))
 	shared := pf.CaptureForkState()
 
@@ -55,7 +55,7 @@ func TestSharedBoundsStoreConcurrent(t *testing.T) {
 		}
 		f := core.New(m, core.Defaults())
 		f.ResumeFork(core.ForkState{Bounds: shared.Bounds})
-		f.Install()
+		m.RegisterHook(f.Hook())
 		out := make([]int, 0, maxTokens)
 		tok := m.Prefill(prompts(i))
 		out = append(out, tok)

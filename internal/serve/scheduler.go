@@ -162,7 +162,7 @@ type group struct {
 	pending  []*Session // gathered from the ready ring
 	sessions []*Session // after admit/weed; nil = settled mid-slice
 	rem      []int      // steps left this slice (chunk or token), parallel to sessions
-	ctls     []controller
+	ctls     []core.Controller
 	extras   []model.Hook // per-session chaos injector hook (usually nil)
 	idx      []int        // participant indices of the current step
 	items    []model.BatchItem
@@ -262,7 +262,7 @@ func (sch *scheduler) runSlice(r *replica, g *group, first *Session) *replica {
 	// its hooks observe into it and the first chunk boundary captures it onto
 	// the session.
 	for i, s := range g.sessions {
-		var f controller
+		var f core.Controller
 		if s.req.Protected {
 			f = r.controller(i)
 			if s.ftState.Bounds != nil {
@@ -407,17 +407,13 @@ func (sch *scheduler) postSlice(r *replica) *replica {
 	return nr
 }
 
-// drainHybrid collects the exact-correction telemetry from every hybrid
-// controller of the replica into the server metrics, returning the totals
-// for suspicion checks. FT2-only controllers have nothing to drain.
+// drainHybrid collects the exact-correction telemetry from every controller
+// of the replica into the server metrics, returning the totals for
+// suspicion checks (FT2-only controllers report zero).
 func (sch *scheduler) drainHybrid(r *replica) core.HybridCounts {
 	var total core.HybridCounts
 	for _, c := range r.ctls {
-		h, ok := c.(*core.Hybrid)
-		if !ok {
-			continue
-		}
-		d := h.DrainCounts()
+		d := c.DrainCounts()
 		total.ABFT.Detected += d.ABFT.Detected
 		total.ABFT.Corrected += d.ABFT.Corrected
 		total.ABFT.Uncorrectable += d.ABFT.Uncorrectable

@@ -88,6 +88,30 @@ func (p Proportion) CI95() float64 {
 	return z * math.Sqrt(est*(1-est)/float64(p.Trials))
 }
 
+// Wilson95 returns the Wilson score 95% interval of the proportion, which
+// unlike the Wald half-width stays meaningful at the small counts fault
+// injection produces (0 or 1 SDC in a few hundred trials). With no trials
+// nothing is known: the interval is [0, 1].
+func (p Proportion) Wilson95() (lo, hi float64) {
+	if p.Trials == 0 {
+		return 0, 1
+	}
+	const z = 1.959963984540054
+	n, est := float64(p.Trials), p.P()
+	den := 1 + z*z/n
+	center := (est + z*z/(2*n)) / den
+	half := z / den * math.Sqrt(est*(1-est)/n+z*z/(4*n*n))
+	return math.Max(0, center-half), math.Min(1, center+half)
+}
+
+// Below reports whether p is separably lower than q: p's Wilson 95%
+// interval ends below the start of q's.
+func (p Proportion) Below(q Proportion) bool {
+	_, pHi := p.Wilson95()
+	qLo, _ := q.Wilson95()
+	return pHi < qLo
+}
+
 // String renders "x.xx% ±y.yy% (s/n)".
 func (p Proportion) String() string {
 	return fmt.Sprintf("%.3f%% ±%.3f%% (%d/%d)", p.Percent(), p.CI95()*100, p.Successes, p.Trials)

@@ -40,6 +40,39 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+func TestWilson95(t *testing.T) {
+	// Reference values from the algebraically equivalent form
+	// (x + z²/2)/(n + z²) ± z·√n/(n + z²)·√(p̂(1−p̂) + z²/4n).
+	for _, c := range []struct {
+		p      Proportion
+		lo, hi float64
+	}{
+		{Proportion{Successes: 1, Trials: 220}, 0.000803, 0.025294},
+		{Proportion{Successes: 22, Trials: 220}, 0.066969, 0.146760},
+		{Proportion{Successes: 0, Trials: 100}, 0, 0.036993},
+		{Proportion{}, 0, 1},
+	} {
+		lo, hi := c.p.Wilson95()
+		if math.Abs(lo-c.lo) > 1e-5 || math.Abs(hi-c.hi) > 1e-5 {
+			t.Errorf("%d/%d: Wilson95 = [%.6f, %.6f], want [%.6f, %.6f]",
+				c.p.Successes, c.p.Trials, lo, hi, c.lo, c.hi)
+		}
+	}
+}
+
+func TestBelowNeedsSeparation(t *testing.T) {
+	one := Proportion{Successes: 1, Trials: 220}
+	if two := (Proportion{Successes: 2, Trials: 220}); one.Below(two) {
+		t.Error("1/220 vs 2/220 overlaps and must not count as lower")
+	}
+	if twentyTwo := (Proportion{Successes: 22, Trials: 220}); !one.Below(twentyTwo) {
+		t.Error("1/220 vs 22/220 is separable and must count as lower")
+	}
+	if one.Below(one) {
+		t.Error("a proportion is never below itself")
+	}
+}
+
 func TestProportion(t *testing.T) {
 	p := Proportion{Successes: 50, Trials: 1000}
 	if p.P() != 0.05 || p.Percent() != 5 {

@@ -93,20 +93,17 @@ func (t *Tracer) CompareHook(out *[]Deviation, errOut *error) model.Hook {
 
 // Run traces a faulty execution against a fresh golden run of the same
 // model. prepare registers the fault-producing hooks (injector, protector)
-// on the model; it runs after the tracer's compare hook is installed, so
-// hook ordering inside prepare matches campaign semantics.
+// on the model; the tracer's compare hook is call-scoped and runs after
+// them, so hook ordering inside prepare matches campaign semantics.
 func Run(m *model.Model, prompt []int, genTokens int, prepare func()) ([]Deviation, error) {
 	tr := New()
-	h := m.RegisterHook(tr.RecordHook())
-	m.Generate(prompt, genTokens)
-	m.RemoveHook(h)
+	m.Generate(prompt, genTokens, tr.RecordHook())
 
 	var devs []Deviation
 	var cmpErr error
 	m.ClearHooks()
 	prepare()
-	m.RegisterHook(tr.CompareHook(&devs, &cmpErr))
-	m.Generate(prompt, genTokens)
+	m.Generate(prompt, genTokens, tr.CompareHook(&devs, &cmpErr))
 	m.ClearHooks()
 	if cmpErr != nil {
 		return nil, cmpErr

@@ -125,7 +125,7 @@ func TestProtectionLimitsPropagation(t *testing.T) {
 	}
 	protected, err := Run(m, prompt, 6, func() {
 		inject()
-		core.Attach(m, core.Defaults()) // cleared by Run's ClearHooks afterwards
+		m.RegisterHook(core.New(m, core.Defaults()).Hook()) // cleared by Run's ClearHooks afterwards
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,17 +170,13 @@ func TestSummarize(t *testing.T) {
 func TestCompareShapeDrift(t *testing.T) {
 	m := testModel(t)
 	tr := New()
-	h := m.RegisterHook(tr.RecordHook())
-	m.Generate([]int{4, 5, 6}, 3)
-	m.RemoveHook(h)
+	m.Generate([]int{4, 5, 6}, 3, tr.RecordHook())
 	if tr.SiteCount() == 0 {
 		t.Fatal("no snapshots recorded")
 	}
 	var devs []Deviation
 	var cmpErr error
-	m.RegisterHook(tr.CompareHook(&devs, &cmpErr))
-	m.Generate([]int{4, 5, 6, 7, 8}, 3) // longer prompt: shapes drift
-	m.ClearHooks()
+	m.Generate([]int{4, 5, 6, 7, 8}, 3, tr.CompareHook(&devs, &cmpErr)) // longer prompt: shapes drift
 	if cmpErr == nil {
 		t.Error("shape drift must be reported")
 	}

@@ -39,7 +39,7 @@ func captureSession(t *testing.T, name string, steps int) (model.Config, *model.
 	}
 	f := core.New(m, core.Defaults())
 	f.Reset()
-	f.Install()
+	m.RegisterHook(f.Hook())
 	tok := m.Prefill(testPrompt())
 	for i := 0; i < steps; i++ {
 		tok = m.DecodeStep(tok)
@@ -113,7 +113,7 @@ func TestRoundTripBitIdentity(t *testing.T) {
 			}
 			f2 := core.New(m2, core.Defaults())
 			f2.ResumeFork(*fk2)
-			f2.Install()
+			m2.RegisterHook(f2.Hook())
 			tok = m2.Restore(snap2)
 			for i := 0; i < extra; i++ {
 				tok = m2.DecodeStep(tok)
@@ -291,7 +291,7 @@ func captureSessionF(f *testing.F) (model.Config, *model.Model, *model.Snapshot,
 	}
 	ctl := core.New(m, core.Defaults())
 	ctl.Reset()
-	ctl.Install()
+	m.RegisterHook(ctl.Hook())
 	tok := m.Prefill(testPrompt())
 	for i := 0; i < 3; i++ {
 		tok = m.DecodeStep(tok)
